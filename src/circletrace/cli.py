@@ -1,8 +1,16 @@
 """Batch experiment runner and command line interface.
 
 Every experiment is described by a single JSON-serializable config (kind,
-params, output); no environment variables participate, so a run is fully
-reproducible from the config artifact.  Exit codes: 0 success, 2 invalid
+params, output, limits); no environment variables participate, so a run is
+fully reproducible from the config artifact.
+
+Each experiment kind declares its parameters once, as a table of ``Param``
+entries giving a name, a parser and the one default.  The same table checks
+the JSON params (an unknown key, a missing required key or a value its
+parser rejects is a ParameterError naming the parameter), hands the runner
+typed values, and generates the kind's subcommand, whose ``--help`` lists
+each parameter with its default.  ``Limits`` and ``ClassifyPolicy`` are read
+field by field from their own dataclasses.  Exit codes: 0 success, 2 invalid
 parameters, 3 resource rejection.
 """
 
@@ -13,8 +21,9 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -36,6 +45,7 @@ from .fourier import (
 )
 from .nc_torus import (
     AntisymmetricForm,
+    CliffordRep,
     LatticeSymbol,
     clifford_rep,
     dirac_coefficients,
@@ -43,22 +53,11 @@ from .nc_torus import (
     identity_coefficients,
     torus_trace_partial,
 )
-from .operators import hankel_matrix, operator_to_json_obj
+from .operators import commutator_matrix, hankel_matrix, operator_to_json_obj
 from .report import Report, emit_report
 from .spectral import decay_slope, singular_values, weak_quasinorm
 
 __all__ = ["Limits", "ExperimentConfig", "run_experiment", "emit_report", "main"]
-
-KINDS = (
-    "WeierstrassTrace",
-    "Measurability",
-    "SingularValueSweep",
-    "KernelCheck",
-    "Winding",
-    "NcTorus",
-    "HnCheck",
-    "FourierTrace",
-)
 
 
 @dataclass(frozen=True)
@@ -76,13 +75,92 @@ class ExperimentConfig:
     limits: Limits = field(default_factory=Limits)
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ParameterError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
+        if self.kind not in _KINDS:
+            raise ParameterError(f"unknown experiment kind {self.kind!r}; choose from {(*_KINDS,)}")
         if self.out_format not in ("json", "csv"):
             raise ParameterError(f"output format must be json or csv, got {self.out_format!r}")
 
 
-# -------------------------- parameter parsing helpers -----------------------
+# ------------------------------ parameter tables ----------------------------
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter: JSON key, parser, its single default and CLI flag.
+
+    An absent or null value takes ``default``, parsed like a given one; a
+    callable default is computed from the values parsed before it (``help``
+    says how).  The parser also gets the values of the params in ``uses``.
+    ``flag`` replaces the CLI spelling ``--name``, ``arg`` parses a CLI string
+    whose form differs from the JSON one, ``cli=False`` keeps it JSON-only.
+    """
+
+    name: str
+    parse: Callable
+    default: Any = _REQUIRED
+    flag: str | None = None
+    arg: Callable | None = None
+    cli: bool = True
+    uses: tuple[str, ...] = ()
+    help: str = ""
+
+
+def _guarded(where: str, fn: Callable, *args):
+    """``fn(*args)``, with any parse failure a ParameterError naming ``where``."""
+    try:
+        return fn(*args)
+    except (TypeError, ValueError, LookupError, ArithmeticError) as exc:  # ParameterError too
+        raise ParameterError(f"{where}: {exc}") from None
+
+
+class _Table:
+    """Parses a JSON object by a table of parameters into ``make(**values)``."""
+
+    def __init__(self, what: str, *params: Param, make: Callable = dict) -> None:
+        self.what, self.params, self.make = what, params, make
+
+    def __call__(self, obj):
+        where = f"{self.what}: " if self.what else ""
+        names = [p.name for p in self.params]
+        if not isinstance(obj, dict):
+            raise ParameterError(
+                f"{where}expected an object with keys {', '.join(names)}, got {type(obj).__name__}"
+            )
+        for key in obj:
+            if key not in names:
+                raise ParameterError(
+                    f"{where}unknown parameter {key!r}; expected one of {', '.join(names)}"
+                )
+        values: dict = {}
+        for p in self.params:
+            raw = obj.get(p.name)
+            if raw is None and p.default is _REQUIRED:
+                raise ParameterError(f"{where}missing required parameter {p.name!r}")
+            if raw is None and callable(p.default):
+                raw = _guarded(where + p.name, p.default, values)
+            elif raw is None:
+                raw = p.default
+            uses = [values[name] for name in p.uses]
+            values[p.name] = None if raw is None else _guarded(where + p.name, p.parse, raw, *uses)
+        return self.make(**values)
+
+
+def _record(cls: type, cli: tuple[str, ...] = ()) -> _Table:
+    """Table of a dataclass of numbers, each field parsed by the type of its default."""
+    params = (Param(f.name, type(f.default), f.default, cli=f.name in cli) for f in fields(cls))
+    return _Table("", *params, make=cls)
+
+
+def _read_json(path: str):
+    """The JSON document in a file; an unreadable or invalid file is a ParameterError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ParameterError(f"cannot read {path!r}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParameterError(f"{path!r} is not valid JSON: {exc}") from None
 
 
 _INT_EXPR = re.compile(r"^\s*(\d+)\s*(?:\*\*|\^)\s*(\d+)\s*$")
@@ -106,7 +184,7 @@ def rule_from_obj(obj) -> CoefficientRule:
     """Coefficient rule from a JSON object or a compact string form.
 
     Strings: "constant:VALUE", "periodic:V1,V2,...", "block-indicator:BASE",
-    "sqrt-log-cos".
+    "sqrt-log-cos".  Objects carry the CoefficientRule fields.
     """
     if isinstance(obj, CoefficientRule):
         return obj
@@ -124,11 +202,7 @@ def rule_from_obj(obj) -> CoefficientRule:
             return CoefficientRule.sqrt_log_cos()
         raise ParameterError(f"unknown coefficient rule {obj!r}")
     if isinstance(obj, dict):
-        return CoefficientRule(
-            head=tuple(obj.get("head", ())),
-            extension=obj.get("extension", "constant"),
-            base=obj.get("base"),
-        )
+        return CoefficientRule(**obj)
     if isinstance(obj, (list, tuple)):
         return CoefficientRule.from_head(obj, extension="constant")
     raise ParameterError(f"cannot interpret coefficient rule {obj!r}")
@@ -139,6 +213,17 @@ def _rule_json(rule: CoefficientRule) -> dict:
     if rule.base is not None:
         out["base"] = rule.base
     return out
+
+
+# The lacunary series W(alpha, gamma, c), shared by the kinds that build one
+# and by the {"weierstrass": ...} symbol spec.
+_ALPHA = Param("alpha", float, 0.5)
+_GAMMA = Param("gamma", int, 2)
+_C = Param("c", rule_from_obj, "constant:1", flag="--coeffs", help="coefficient rule for c")
+_WEIERSTRASS_SPEC = _Table(
+    "weierstrass", _ALPHA, _GAMMA, _C, Param("cutoff", parse_int_expr),
+    make=lambda cutoff, **w: weierstrass_symbol(WeierstrassParams(**w), cutoff),
+)
 
 
 def symbol_from_obj(obj) -> FourierSymbol:
@@ -156,13 +241,7 @@ def symbol_from_obj(obj) -> FourierSymbol:
         if "power" in obj:
             return mode_symbol(parse_int_expr(obj["power"]))
         if "weierstrass" in obj:
-            spec = obj["weierstrass"]
-            params = WeierstrassParams(
-                alpha=float(spec.get("alpha", 0.5)),
-                gamma=int(spec.get("gamma", 2)),
-                c=rule_from_obj(spec.get("c", "constant:1")),
-            )
-            return weierstrass_symbol(params, parse_int_expr(spec["cutoff"]))
+            return _WEIERSTRASS_SPEC(obj["weierstrass"])
     raise ParameterError(f"cannot interpret symbol spec {obj!r}")
 
 
@@ -173,34 +252,18 @@ def symbol_from_arg(text: str) -> FourierSymbol:
         return symbol_from_obj(json.loads(stripped))
     if re.match(r"^z\s*\^\s*-?\d+$", stripped):
         return symbol_from_obj(stripped)
-    path = Path(stripped)
-    if not path.exists():
-        raise ParameterError(f"symbol file {text!r} does not exist")
-    return symbol_from_obj(json.loads(path.read_text()))
+    return symbol_from_obj(_read_json(stripped))
 
 
-def _policy_from_obj(obj) -> ClassifyPolicy:
-    if obj is None:
-        return ClassifyPolicy()
-    if isinstance(obj, ClassifyPolicy):
-        return obj
-    return ClassifyPolicy(
-        window_count=int(obj.get("window_count", 5)),
-        rel_gap=float(obj.get("rel_gap", 0.02)),
-        abs_floor=float(obj.get("abs_floor", 1e-9)),
-        window_base=int(obj.get("window_base", 2)),
-    )
-
-
-def _twist_from_obj(obj, n: int) -> AntisymmetricForm:
-    if obj is None or obj == "zero":
-        return AntisymmetricForm.zero(n)
+def _twist_from_obj(obj, rep: CliffordRep) -> AntisymmetricForm:
+    if obj == "zero":
+        return AntisymmetricForm.zero(rep.n)
     if isinstance(obj, dict) and "matrix" in obj:
         return AntisymmetricForm(np.asarray(obj["matrix"], dtype=float))
     if isinstance(obj, dict) and "random" in obj:
         rng = np.random.default_rng(int(obj["random"]))
         scale = float(obj.get("scale", 1.0))
-        upper = np.triu(rng.standard_normal((n, n)), k=1) * scale
+        upper = np.triu(rng.standard_normal((rep.n, rep.n)), k=1) * scale
         return AntisymmetricForm(upper - upper.T)
     raise ParameterError(f"cannot interpret twist form spec {obj!r}")
 
@@ -220,63 +283,96 @@ def _lattice_symbol_from_obj(obj, n: int) -> LatticeSymbol:
 # ------------------------------ experiment kinds ----------------------------
 
 
-def _run_weierstrass_trace(params: dict, limits: Limits) -> Report:
-    gamma = int(params.get("gamma", 2))
-    alpha = float(params.get("alpha", 0.5))
+@dataclass(frozen=True)
+class _Kind:
+    command: str
+    help: str
+    params: _Table
+    run: Callable[..., Report]
+    config_file: bool  # the subcommand reads the whole params object from --config
+
+
+_KINDS: dict[str, _Kind] = {}
+
+
+def _kind(name: str, command: str, help: str, *params: Param, config_file: bool = False):
+    """Registers a runner, called with the limits and the typed params, as a kind."""
+
+    def register(run):
+        _KINDS[name] = _Kind(command, help, _Table(name, *params), run, config_file)
+        return run
+
+    return register
+
+
+@_kind(
+    "WeierstrassTrace", "weierstrass-trace", "lacunary pair trace partial sums",
+    _GAMMA, _ALPHA, _C,
+    Param("d", rule_from_obj, lambda v: v["c"], flag="--d-coeffs",
+          help="coefficient rule for d, default: the c rule"),
+    Param("N", parse_int_expr, "2**40"),
+)
+def _run_weierstrass_trace(limits: Limits, *, gamma, alpha, c, d, N) -> Report:
     if alpha != 0.5:
         raise ParameterError(
             "the lacunary trace closed form is exact only at alpha = 1/2; "
             f"got alpha = {alpha}"
         )
-    c_rule = rule_from_obj(params.get("c", "constant:1"))
-    d_rule = rule_from_obj(params.get("d", params.get("c", "constant:1")))
-    n_trunc = parse_int_expr(params.get("N", 2**40))
-    seq = cf.weierstrass_trace(gamma, c_rule, d_rule, n_trunc)
+    seq = cf.weierstrass_trace(gamma, c, d, N)
     limit, slope = log_extrapolate(np.asarray(seq.values, dtype=float), seq.points)
     report = Report(kind="WeierstrassTrace")
-    report.inputs = {
-        "gamma": gamma,
-        "alpha": alpha,
-        "c": _rule_json(c_rule),
-        "d": _rule_json(d_rule),
-        "N": n_trunc,
-    }
+    report.inputs = {"gamma": gamma, "alpha": alpha, "c": _rule_json(c), "d": _rule_json(d), "N": N}
     report.add_sequence("partial_sums", seq.expression, seq.normalization, seq.points, seq.values)
     report.add_scalar("extrapolated limit of " + seq.expression, limit, "fit L + C/log(N+2)")
     report.add_scalar("extrapolation 1/log coefficient", slope, "fit L + C/log(N+2)")
-    if c_rule.extension == "constant" and d_rule.extension == "constant":
-        reference = -(c_rule.head[-1] * d_rule.head[-1]) / math.log(gamma)
-        report.add_scalar(
-            "-(lim Cesaro(c*d))/log(gamma)", reference, "closed-form reference"
-        )
+    if c.extension == "constant" and d.extension == "constant":
+        reference = -(c.head[-1] * d.head[-1]) / math.log(gamma)
+        report.add_scalar("-(lim Cesaro(c*d))/log(gamma)", reference, "closed-form reference")
         report.add_check("extrapolated limit vs closed form", limit, reference)
     return report
 
 
-def _run_measurability(params: dict, limits: Limits) -> Report:
-    entries = params.get("entries")
+_ENTRY = _Table(
+    "",
+    _GAMMA,
+    replace(_C, flag="--rule", help="inline coefficient rule"),
+    Param("d", rule_from_obj, lambda v: v["c"], cli=False),
+    Param("label", str, lambda v: f"gamma={v['gamma']}", cli=False),
+)
+
+
+def _entries(objs) -> list[dict]:
+    if not isinstance(objs, list):
+        raise ParameterError(f"expected a list of entries, got {type(objs).__name__}")
+    return [_guarded(f"entry {i}", _ENTRY, obj) for i, obj in enumerate(objs)]
+
+
+def _entries_file(path: str):
+    """A --config file of measurability: a list of entries or {"entries": [...]}."""
+    doc = _read_json(path)
+    return doc["entries"] if isinstance(doc, dict) and "entries" in doc else doc
+
+
+# Without "entries" the params are one entry, labelled "sequence".
+@_kind(
+    "Measurability", "measurability", "limit classification verdict table",
+    Param("N", parse_int_expr, "4**10"),
+    Param("policy", _record(ClassifyPolicy, cli=("window_count", "rel_gap", "abs_floor")), {}),
+    Param("entries", _entries, None, flag="--config", arg=_entries_file,
+          help='JSON file with an entries list, or {"entries": [...]}'),
+    *_ENTRY.params[:3],
+    replace(_ENTRY.params[3], default="sequence"),
+)
+def _run_measurability(limits: Limits, *, N, policy, entries, label, gamma, c, d) -> Report:
     if entries is None:
-        entries = [
-            {
-                "label": params.get("label", "sequence"),
-                "gamma": params.get("gamma", 2),
-                "c": params.get("c", "constant:1"),
-                "d": params.get("d"),
-            }
-        ]
-    n_index = parse_int_expr(params.get("N", 4**10))
-    policy = _policy_from_obj(params.get("policy"))
+        entries = [{"gamma": gamma, "c": c, "d": d, "label": label}]
     report = Report(kind="Measurability")
-    report.inputs = {"N": n_index, "policy": policy.__dict__.copy(), "entries": []}
+    report.inputs = {"N": N, "policy": policy.__dict__.copy(), "entries": []}
     for entry in entries:
-        gamma = int(entry.get("gamma", 2))
-        c_rule = rule_from_obj(entry.get("c", "constant:1"))
-        d_rule = rule_from_obj(entry.get("d") or entry.get("c", "constant:1"))
-        label = str(entry.get("label", f"gamma={gamma}"))
-        report.inputs["entries"].append(
-            {"label": label, "gamma": gamma, "c": _rule_json(c_rule), "d": _rule_json(d_rule)}
-        )
-        product = c_rule.values(n_index + 1) * d_rule.values(n_index + 1)
+        label, gamma, c, d = (entry[key] for key in ("label", "gamma", "c", "d"))
+        echo = {"label": label, "gamma": gamma, "c": _rule_json(c), "d": _rule_json(d)}
+        report.inputs["entries"].append(echo)
+        product = c.values(N + 1) * d.values(N + 1)
         verdict = classify_limit(cesaro_mean(product), policy)
         report.scalars.append(
             {
@@ -290,61 +386,46 @@ def _run_measurability(params: dict, limits: Limits) -> Report:
     return report
 
 
-def _run_singular_sweep(params: dict, limits: Limits) -> Report:
-    alpha = float(params.get("alpha", 0.5))
-    gamma = int(params.get("gamma", 2))
-    n_trunc = parse_int_expr(params.get("N", 1024))
-    if n_trunc > limits.max_matrix:
-        raise ResourceLimitError(
-            f"matrix size {n_trunc} exceeds the cap {limits.max_matrix}"
-        )
-    c_rule = rule_from_obj(params.get("c", "constant:1"))
-    w_params = WeierstrassParams(alpha=alpha, gamma=gamma, c=c_rule)
-    symbol = weierstrass_symbol(w_params, 2 * n_trunc)
-    spectrum = singular_values(hankel_matrix(symbol, n_trunc))
-    p = float(params.get("p", 1.0 / alpha))
-    k_lo = int(params.get("k_lo", 16))
-    k_hi = int(params.get("k_hi", min(512, n_trunc // 4)))
+@_kind(
+    "SingularValueSweep", "singular-sweep", "Hankel singular values of a lacunary symbol",
+    _ALPHA, _GAMMA, _C, Param("N", parse_int_expr, 1024),
+    Param("p", float, lambda v: 1.0 / v["alpha"], help="quasinorm exponent, default: 1/alpha"),
+    Param("k_lo", int, 16),
+    Param("k_hi", int, lambda v: min(512, v["N"] // 4), help="default: min(512, N/4)"),
+)
+def _run_singular_sweep(limits: Limits, *, alpha, gamma, c, N, p, k_lo, k_hi) -> Report:
+    if N > limits.max_matrix:
+        raise ResourceLimitError(f"matrix size {N} exceeds the cap {limits.max_matrix}")
+    symbol = weierstrass_symbol(WeierstrassParams(alpha=alpha, gamma=gamma, c=c), 2 * N)
+    spectrum = singular_values(hankel_matrix(symbol, N))
     report = Report(kind="SingularValueSweep")
-    report.inputs = {
-        "alpha": alpha,
-        "gamma": gamma,
-        "N": n_trunc,
-        "c": _rule_json(c_rule),
-        "p": p,
-        "k_lo": k_lo,
-        "k_hi": k_hi,
-    }
-    report.add_sequence(
-        "mu",
-        "singular values of P W (1-P) truncated",
-        "none",
-        np.arange(len(spectrum)),
-        spectrum.mu,
-    )
-    report.add_scalar(
-        "sup_k (1+k)^(1/p) mu_k", weak_quasinorm(spectrum, p), f"p = {p:.6g}"
-    )
+    report.inputs = dict(alpha=alpha, gamma=gamma, N=N, c=_rule_json(c), p=p, k_lo=k_lo, k_hi=k_hi)
+    mu, expression = spectrum.mu, "singular values of P W (1-P) truncated"
+    report.add_sequence("mu", expression, "none", np.arange(mu.size), mu)
+    report.add_scalar("sup_k (1+k)^(1/p) mu_k", weak_quasinorm(spectrum, p), f"p = {p:.6g}")
     report.add_scalar(
         "log-log decay slope", decay_slope(spectrum, k_lo, k_hi), f"window [{k_lo},{k_hi})"
     )
     return report
 
 
-def _run_kernel_check(params: dict, limits: Limits) -> Report:
-    a = symbol_from_obj(params["a"])
-    b = symbol_from_obj(params["b"])
-    n_trunc = parse_int_expr(params.get("N", 64))
-    if n_trunc > limits.max_matrix:
-        raise ResourceLimitError(f"kernel truncation {n_trunc} exceeds {limits.max_matrix}")
-    r = float(params.get("r", 1.0 - 1e-6))
-    grid = parse_int_expr(params.get("grid", 8 * n_trunc))
-    kp = cf.KernelParams(n_trunc=n_trunc, r=r, grid=grid)
-    value = cf.integral_trace(a, b, kp)
-    oracle = -_double_sum(a, b, n_trunc) / math.log(n_trunc)
-    refined = cf.integral_trace(a, b, cf.KernelParams(n_trunc, 1.0 - (1.0 - r) / 10.0, grid))
+_A = Param("a", symbol_from_obj, arg=symbol_from_arg, help="inline JSON, z^k or a JSON file")
+_B = replace(_A, name="b")
+
+
+@_kind(
+    "KernelCheck", "kernel-check", "integral kernel quadrature vs double sum",
+    _A, _B, Param("N", parse_int_expr, 64), Param("r", float, 1.0 - 1e-6),
+    Param("grid", parse_int_expr, lambda v: 8 * v["N"], help="default: 8*N"),
+)
+def _run_kernel_check(limits: Limits, *, a, b, N, r, grid) -> Report:
+    if N > limits.max_matrix:
+        raise ResourceLimitError(f"kernel truncation {N} exceeds {limits.max_matrix}")
+    value = cf.integral_trace(a, b, cf.KernelParams(n_trunc=N, r=r, grid=grid))
+    oracle = -_double_sum(a, b, N) / math.log(N)
+    refined = cf.integral_trace(a, b, cf.KernelParams(N, 1.0 - (1.0 - r) / 10.0, grid))
     report = Report(kind="KernelCheck")
-    report.inputs = {"N": n_trunc, "r": r, "grid": grid}
+    report.inputs = {"N": N, "r": r, "grid": grid}
     report.add_scalar("tr(P[P,a][P,b]) via kernel quadrature", value, "1/log(N)")
     report.add_scalar("-sum_{l<=N} sum_{k>l} a_k b_{-k}", oracle, "1/log(N)")
     report.add_check("quadrature vs coefficient double sum", value, oracle)
@@ -360,14 +441,13 @@ def _double_sum(a: FourierSymbol, b: FourierSymbol, n_trunc: int) -> complex:
     return total
 
 
-def _run_winding(params: dict, limits: Limits) -> Report:
-    a = symbol_from_obj(params["a"])
-    n_trunc = parse_int_expr(params.get("N", 64))
-    if 2 * n_trunc + 1 > limits.max_matrix:
-        raise ResourceLimitError(f"truncation {n_trunc} exceeds the matrix cap")
-    result = cf.winding_report(a, n_trunc)
+@_kind("Winding", "winding", "winding number trace", _A, Param("N", parse_int_expr, 64))
+def _run_winding(limits: Limits, *, a, N) -> Report:
+    if 2 * N + 1 > limits.max_matrix:
+        raise ResourceLimitError(f"truncation {N} exceeds the matrix cap")
+    result = cf.winding_report(a, N)
     report = Report(kind="Winding")
-    report.inputs = {"N": n_trunc, "band": a.n_max}
+    report.inputs = {"N": N, "band": a.n_max}
     report.add_scalar("tr((2P-1)[P,a][P,a^-1])", result.value, "plain trace")
     report.add_scalar("nearest integer", result.nearest_integer)
     report.add_scalar("imaginary defect", result.imag_defect)
@@ -380,100 +460,100 @@ def _run_winding(params: dict, limits: Limits) -> Report:
     return report
 
 
-def _run_nctorus(params: dict, limits: Limits) -> Report:
-    n = int(params.get("n", 2))
-    rep_data = clifford_rep(n)
-    n_trunc = parse_int_expr(params.get("N", 64))
-    symbols = [_lattice_symbol_from_obj(s, n) for s in params["symbols"]]
-    t_name = params.get("T", "grading-dirac")
-    factories = {
-        "grading-dirac": grading_dirac_coefficients,
-        "dirac": dirac_coefficients,
-        "identity": identity_coefficients,
-    }
-    if t_name not in factories:
-        raise ParameterError(f"unknown T coefficient map {t_name!r}")
-    t_map = factories[t_name](rep_data)
-    twist = _twist_from_obj(params.get("theta"), n)
-    seq = torus_trace_partial(
-        rep_data, t_map, symbols, n_trunc, twist, max_tuples=limits.max_tuples
-    )
-    control = torus_trace_partial(
-        rep_data, t_map, symbols, n_trunc, None, max_tuples=limits.max_tuples
-    )
+_T_MAPS = {
+    "grading-dirac": grading_dirac_coefficients,
+    "dirac": dirac_coefficients,
+    "identity": identity_coefficients,
+}
+
+
+# "n" parses to the Clifford representation, so the torus dimension is
+# checked before the twist and the symbols are sized by it.
+@_kind(
+    "NcTorus", "nctorus", "twisted torus truncated trace sums",
+    Param("n", lambda n: clifford_rep(int(n)), 2, help="torus dimension"),
+    Param("N", parse_int_expr, 64),
+    Param("T", str, "grading-dirac", help="one of " + ", ".join(_T_MAPS)),
+    Param("theta", _twist_from_obj, "zero", uses=("n",),
+          help='"zero", {"matrix": ...} or {"random": seed, "scale": s}'),
+    Param("symbols", lambda objs, rep: [_lattice_symbol_from_obj(o, rep.n) for o in objs],
+          uses=("n",),
+          help='list of {"pair": v, "amplitude": z} or {"modes": [[v, re, im], ...]}'),
+    config_file=True,
+)
+def _run_nctorus(limits: Limits, *, n: CliffordRep, N, T, theta, symbols) -> Report:
+    if T not in _T_MAPS:
+        raise ParameterError(f"unknown T coefficient map {T!r}")
+    t_map = _T_MAPS[T](n)
+    seq = torus_trace_partial(n, t_map, symbols, N, theta, max_tuples=limits.max_tuples)
+    control = torus_trace_partial(n, t_map, symbols, N, None, max_tuples=limits.max_tuples)
     report = Report(kind="NcTorus")
-    report.inputs = {"n": n, "N": n_trunc, "T": t_name, "k": len(symbols)}
+    report.inputs = {"n": n.n, "N": N, "T": T, "k": len(symbols)}
     report.add_sequence("partial_sums", seq.expression, seq.normalization, seq.points, seq.values)
     report.add_sequence(
-        "partial_sums_zero_twist", control.expression, control.normalization,
-        control.points, control.values,
+        "partial_sums_zero_twist", control.expression, control.normalization, control.points,
+        control.values,
     )
-    report.add_scalar(
-        "max |twisted - untwisted|",
-        float(np.max(np.abs(seq.values - control.values))),
-        "entrywise",
-    )
+    gap = float(np.max(np.abs(seq.values - control.values)))
+    report.add_scalar("max |twisted - untwisted|", gap, "entrywise")
     return report
 
 
-def _run_hn_check(params: dict, limits: Limits) -> Report:
-    m_max = int(params.get("m_max", 4))
-    n_trunc = parse_int_expr(params.get("N", 64))
-    t_points = int(params.get("t_points", 64))
+@_kind(
+    "HnCheck", "hn", "sphere kernel consistency sweep",
+    Param("m_max", int, 4), Param("N", parse_int_expr, 64), Param("t_points", int, 64),
+)
+def _run_hn_check(limits: Limits, *, m_max, N, t_points) -> Report:
     t_grid = np.linspace(0.0, 1.0, t_points + 1)[1:]
     report = Report(kind="HnCheck")
-    report.inputs = {"m_max": m_max, "N": n_trunc, "t_points": t_points}
+    report.inputs = {"m_max": m_max, "N": N, "t_points": t_points}
     worst = 0.0
     for m in range(1, m_max + 1):
-        binom_form = cf.sphere_kernel(t_grid, n_trunc, m)
-        deriv_form = cf.sphere_kernel_derivative(t_grid, n_trunc, m)
+        binom_form = cf.sphere_kernel(t_grid, N, m)
+        deriv_form = cf.sphere_kernel_derivative(t_grid, N, m)
         gap = float(np.max(np.abs(binom_form - deriv_form)))
         worst = max(worst, gap)
-        report.add_scalar(
-            f"max |binomial - derivative| at m={m}", gap, f"t in (0,1], N={n_trunc}"
-        )
+        report.add_scalar(f"max |binomial - derivative| at m={m}", gap, f"t in (0,1], N={N}")
     report.add_scalar("worst discrepancy over m", worst)
-    geo = cf.sphere_kernel(t_grid, n_trunc, 1)
-    closed = (1.0 - (1.0 - t_grid) ** (n_trunc + 1)) / t_grid
-    report.add_check(
-        "m=1 geometric reduction", float(np.max(np.abs(geo - closed))), 0.0
-    )
+    geo = cf.sphere_kernel(t_grid, N, 1)
+    closed = (1.0 - (1.0 - t_grid) ** (N + 1)) / t_grid
+    report.add_check("m=1 geometric reduction", float(np.max(np.abs(geo - closed))), 0.0)
     return report
 
 
-def _run_fourier_trace(params: dict, limits: Limits) -> Report:
-    a = symbol_from_obj(params["a"])
-    b = symbol_from_obj(params["b"])
-    n_trunc = parse_int_expr(params.get("N", 256))
-    symmetric = bool(params.get("symmetric", False))
-    if symmetric:
-        seq = cf.symmetric_fourier_trace(a, b, n_trunc)
-    else:
-        seq = cf.fourier_side_trace(a, b, n_trunc)
+@_kind(
+    "FourierTrace", "fourier-trace", "Fourier-side trace partial sums",
+    _A, _B, Param("N", parse_int_expr, 256), Param("symmetric", bool, False),
+)
+def _run_fourier_trace(limits: Limits, *, a, b, N, symmetric) -> Report:
+    seq = (cf.symmetric_fourier_trace if symmetric else cf.fourier_side_trace)(a, b, N)
     report = Report(kind="FourierTrace")
-    report.inputs = {"N": n_trunc, "symmetric": symmetric}
+    report.inputs = {"N": N, "symmetric": symmetric}
     report.add_sequence("trace", seq.expression, seq.normalization, seq.points, seq.values)
     return report
 
 
-_RUNNERS = {
-    "WeierstrassTrace": _run_weierstrass_trace,
-    "Measurability": _run_measurability,
-    "SingularValueSweep": _run_singular_sweep,
-    "KernelCheck": _run_kernel_check,
-    "Winding": _run_winding,
-    "NcTorus": _run_nctorus,
-    "HnCheck": _run_hn_check,
-    "FourierTrace": _run_fourier_trace,
-}
-
-
 def run_experiment(config: ExperimentConfig) -> Report:
     """Validate parameters, dispatch on kind and return a deterministic report."""
-    return _RUNNERS[config.kind](config.params, config.limits)
+    kind = _KINDS[config.kind]
+    return kind.run(config.limits, **kind.params(config.params))
 
 
 # ----------------------------------- CLI ------------------------------------
+
+
+_OUTPUT = _Table(
+    "",
+    Param("path", str, None, flag="--out", help="output path (default stdout)"),
+    Param("format", str, ExperimentConfig.out_format, help="json or csv"),
+)
+_EXPERIMENT = _Table(
+    "experiment",
+    Param("kind", str),
+    Param("params", lambda params: params, {}),  # checked by the kind's table when run
+    Param("output", _OUTPUT, {}),
+    Param("limits", _record(Limits), {}),
+)
 
 
 def _write_output(data: bytes, out_path: str | None) -> None:
@@ -484,36 +564,39 @@ def _write_output(data: bytes, out_path: str | None) -> None:
 
 
 def _config_from_json_obj(obj: dict) -> ExperimentConfig:
-    limits_obj = obj.get("limits", {})
-    limits = Limits(
-        max_matrix=int(limits_obj.get("max_matrix", 4096)),
-        max_tuples=int(limits_obj.get("max_tuples", 10_000_000)),
-    )
-    output = obj.get("output", {})
+    entry = _EXPERIMENT(obj)
+    out = entry["output"]
     return ExperimentConfig(
-        kind=obj.get("kind", ""),
-        params=obj.get("params", {}),
-        out_path=output.get("path"),
-        out_format=output.get("format", "json"),
-        limits=limits,
+        entry["kind"], entry["params"], out["path"], out["format"], entry["limits"]
     )
 
 
 def _execute(config: ExperimentConfig, dump_operator: str | None = None) -> None:
     report = run_experiment(config)
-    if dump_operator and config.kind == "Winding":
-        a = symbol_from_obj(config.params["a"])
-        n_trunc = parse_int_expr(config.params.get("N", 64))
-        from .operators import commutator_matrix
-
-        obj = operator_to_json_obj(commutator_matrix(a, n_trunc))
+    if dump_operator:
+        params = _KINDS["Winding"].params(config.params)
+        obj = operator_to_json_obj(commutator_matrix(params["a"], params["N"]))
         Path(dump_operator).write_text(json.dumps(obj))
     _write_output(emit_report(report, config.out_format), config.out_path)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", default="json", choices=("json", "csv"))
+def _help(p: Param) -> str:
+    if p.default is None or callable(p.default):
+        return p.help
+    default = "required" if p.default is _REQUIRED else f"default: {p.default}"
+    return f"{p.help}, {default}" if p.help else default
+
+
+def _add_flags(parser: argparse.ArgumentParser, table: _Table) -> None:
+    for p in table.params:
+        if isinstance(p.parse, _Table):
+            _add_flags(parser, p.parse)
+        elif p.cli:
+            flag = p.flag or "--" + p.name.replace("_", "-")
+            how = {"action": "store_true"} if p.parse is bool else {}
+            parser.add_argument(
+                flag, dest=p.name, required=p.default is _REQUIRED, help=_help(p), **how
+            )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -522,163 +605,63 @@ def _build_parser() -> argparse.ArgumentParser:
         description="log-averaged trace asymptotics for truncated circle operators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("weierstrass-trace", help="lacunary pair trace partial sums")
-    p.add_argument("--gamma", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--coeffs", default="constant:1", help="coefficient rule for c")
-    p.add_argument("--d-coeffs", default=None, help="coefficient rule for d (default c)")
-    p.add_argument("--N", default="2**40")
-    _add_common(p)
-
-    p = sub.add_parser("measurability", help="limit classification verdict table")
-    p.add_argument("--config", default=None, help="JSON file with an entries list")
-    p.add_argument("--rule", default=None, help="inline coefficient rule")
-    p.add_argument("--gamma", type=int, default=2)
-    p.add_argument("--N", default="4**10")
-    p.add_argument("--window-count", type=int, default=5)
-    p.add_argument("--rel-gap", type=float, default=0.02)
-    p.add_argument("--abs-floor", type=float, default=1e-9)
-    _add_common(p)
-
-    p = sub.add_parser("singular-sweep", help="Hankel singular values of a lacunary symbol")
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--gamma", type=int, default=2)
-    p.add_argument("--coeffs", default="constant:1")
-    p.add_argument("--N", default="1024")
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--k-lo", type=int, default=16)
-    p.add_argument("--k-hi", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("kernel-check", help="integral kernel quadrature vs double sum")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--N", default="64")
-    p.add_argument("--r", type=float, default=1.0 - 1e-6)
-    p.add_argument("--grid", default=None)
-    _add_common(p)
-
-    p = sub.add_parser("winding", help="winding number trace")
-    p.add_argument("--a", required=True)
-    p.add_argument("--N", default="64")
-    p.add_argument("--dump-operator", default=None, help="write the commutator matrix JSON here")
-    _add_common(p)
-
-    p = sub.add_parser("fourier-trace", help="Fourier-side trace partial sums")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--N", default="256")
-    p.add_argument("--symmetric", action="store_true")
-    _add_common(p)
-
-    p = sub.add_parser("hn", help="sphere kernel consistency sweep")
-    p.add_argument("--m-max", type=int, default=4)
-    p.add_argument("--N", default="64")
-    p.add_argument("--t-points", type=int, default=64)
-    _add_common(p)
-
-    p = sub.add_parser("nctorus", help="twisted torus truncated trace sums")
-    p.add_argument("--config", required=True, help="JSON spec {n, theta, T, symbols, N}")
-    _add_common(p)
-
+    for name, kind in _KINDS.items():
+        p = sub.add_parser(kind.command, help=kind.help)
+        p.set_defaults(kind=name)
+        if kind.config_file:
+            keys = "; ".join(f"{q.name}: {_help(q)}" for q in kind.params.params)
+            p.add_argument("--config", required=True, help=f"JSON file of the params ({keys})")
+        else:
+            _add_flags(p, kind.params)
+        if name == "Winding":
+            p.add_argument("--dump-operator", help="write the commutator matrix JSON here")
+        _add_flags(p, _OUTPUT)
     p = sub.add_parser("run", help="run experiment configs from a JSON document")
     p.add_argument("--config", required=True)
-
     return parser
 
 
-def _args_to_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str | None]:
-    dump_operator = None
-    if args.command == "weierstrass-trace":
-        params = {
-            "gamma": args.gamma,
-            "alpha": args.alpha,
-            "c": args.coeffs,
-            "d": args.d_coeffs or args.coeffs,
-            "N": args.N,
-        }
-        config = ExperimentConfig("WeierstrassTrace", params, args.out, args.format)
-    elif args.command == "measurability":
-        params: dict = {
-            "N": args.N,
-            "policy": {
-                "window_count": args.window_count,
-                "rel_gap": args.rel_gap,
-                "abs_floor": args.abs_floor,
-            },
-        }
-        if args.config:
-            doc = json.loads(Path(args.config).read_text())
-            params["entries"] = doc["entries"] if isinstance(doc, dict) else doc
-        elif args.rule:
-            params["c"] = args.rule
-            params["gamma"] = args.gamma
-            params["label"] = args.rule
-        else:
+def _given(table: _Table, args: dict) -> dict:
+    """The params given on the command line, by JSON name."""
+    raw: dict = {}
+    for p in table.params:
+        if isinstance(p.parse, _Table):
+            nested = _given(p.parse, args)
+            if nested:
+                raw[p.name] = nested
+        elif p.cli and args[p.name] is not None:
+            value = args[p.name]
+            if p.arg is not None:
+                value = _guarded(f"{table.what}: {p.name}", p.arg, value)
+            raw[p.name] = value
+    return raw
+
+
+def _cli_config(args: argparse.Namespace) -> ExperimentConfig:
+    kind = _KINDS[args.kind]
+    raw = _read_json(args.config) if kind.config_file else _given(kind.params, vars(args))
+    if args.kind == "Measurability":
+        if "entries" not in raw and "c" not in raw:
             raise ParameterError("measurability needs --config or --rule")
-        config = ExperimentConfig("Measurability", params, args.out, args.format)
-    elif args.command == "singular-sweep":
-        params = {
-            "alpha": args.alpha,
-            "gamma": args.gamma,
-            "c": args.coeffs,
-            "N": args.N,
-        }
-        if args.p is not None:
-            params["p"] = args.p
-        params["k_lo"] = args.k_lo
-        if args.k_hi is not None:
-            params["k_hi"] = args.k_hi
-        config = ExperimentConfig("SingularValueSweep", params, args.out, args.format)
-    elif args.command == "kernel-check":
-        params = {"a": _symbol_arg_obj(args.a), "b": _symbol_arg_obj(args.b), "N": args.N, "r": args.r}
-        if args.grid is not None:
-            params["grid"] = args.grid
-        config = ExperimentConfig("KernelCheck", params, args.out, args.format)
-    elif args.command == "winding":
-        params = {"a": _symbol_arg_obj(args.a), "N": args.N}
-        dump_operator = args.dump_operator
-        config = ExperimentConfig("Winding", params, args.out, args.format)
-    elif args.command == "fourier-trace":
-        params = {
-            "a": _symbol_arg_obj(args.a),
-            "b": _symbol_arg_obj(args.b),
-            "N": args.N,
-            "symmetric": args.symmetric,
-        }
-        config = ExperimentConfig("FourierTrace", params, args.out, args.format)
-    elif args.command == "hn":
-        params = {"m_max": args.m_max, "N": args.N, "t_points": args.t_points}
-        config = ExperimentConfig("HnCheck", params, args.out, args.format)
-    elif args.command == "nctorus":
-        doc = json.loads(Path(args.config).read_text())
-        config = ExperimentConfig("NcTorus", doc, args.out, args.format)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ParameterError(f"unknown command {args.command!r}")
-    return config, dump_operator
-
-
-def _symbol_arg_obj(text: str):
-    """Keep CLI symbol args as JSON objects so reports echo them verbatim."""
-    symbol = symbol_from_arg(text)
-    from .fourier import symbol_to_json_obj
-
-    return symbol_to_json_obj(symbol)
+        if "c" in raw:
+            raw["label"] = raw["c"]  # a --rule run is labelled by its rule
+    out = _OUTPUT(_given(_OUTPUT, vars(args)))
+    return ExperimentConfig(args.kind, raw, out["path"], out["format"])
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            doc = json.loads(Path(args.config).read_text())
-            entries = doc["experiments"] if isinstance(doc, dict) and "experiments" in doc else [doc]
+            doc = _read_json(args.config)
+            entries = doc.get("experiments", [doc]) if isinstance(doc, dict) else doc
+            if not isinstance(entries, list):
+                raise ParameterError('a batch config must be an experiment, a list of them '
+                                     'or {"experiments": [...]}')
             for entry in entries:
                 _execute(_config_from_json_obj(entry))
         else:
-            config, dump_operator = _args_to_config(args)
-            _execute(config, dump_operator)
+            _execute(_cli_config(args), getattr(args, "dump_operator", None))
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2

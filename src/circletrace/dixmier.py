@@ -17,7 +17,7 @@ oscillate on consecutive indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -221,14 +221,6 @@ def classify_limit(x, policy: ClassifyPolicy | None = None) -> MeasurabilityVerd
     return MeasurabilityVerdict(
         VerdictKind.INCONCLUSIVE, None, None, None, windows_used, pol
     )
-
-
-def classify_limit_gamma_adic(
-    x, gamma: int, policy: ClassifyPolicy | None = None
-) -> MeasurabilityVerdict:
-    """Classifier variant probing along gamma-power windows instead of dyadic."""
-    pol = replace(policy or ClassifyPolicy(), window_base=int(gamma))
-    return classify_limit(x, pol)
 
 
 def log_extrapolate(x, indices=None) -> tuple[float, float]:

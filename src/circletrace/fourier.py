@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -309,16 +309,18 @@ def symbol_to_json_obj(a: FourierSymbol) -> dict:
 
 def symbol_from_json_obj(obj: Mapping) -> FourierSymbol:
     try:
-        entries: Iterable = obj["modes"]
+        entries = list(obj["modes"])
     except (KeyError, TypeError):
         raise ParameterError('symbol JSON must be an object with a "modes" list')
     coeffs: dict[int, complex] = {}
     for entry in entries:
         try:
             k, re, im = entry
-        except (TypeError, ValueError):
+            mode = int(k)
+            value = complex(float(re), float(im))
+        except (TypeError, ValueError, OverflowError):
             raise ParameterError(f"malformed mode entry {entry!r}; expected [k, re, im]")
-        if int(k) != k:
+        if mode != k:
             raise ParameterError(f"mode {k!r} is not an integer")
-        coeffs[int(k)] = complex(float(re), float(im))
+        coeffs[mode] = value
     return FourierSymbol(coeffs)

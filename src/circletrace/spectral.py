@@ -74,7 +74,11 @@ def decay_slope(
         )
     window = spectrum.mu[k_lo:k_hi]
     if np.any(window <= 0):
-        raise ParameterError("zero singular values inside the fit window")
+        rank = int(np.count_nonzero(spectrum.mu > 0))
+        raise ParameterError(
+            f"zero singular values inside the fit window [{k_lo}, {k_hi}): the spectrum "
+            f"has numerical rank {rank} (count of mu_k > 0), so k_hi must be at most {rank}"
+        )
     if samples:
         ks = np.unique(
             np.round(

@@ -1,8 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from circletrace import cli
 from circletrace.cli import (
     ExperimentConfig,
     main,
@@ -275,3 +283,191 @@ def test_fourier_trace_cli(tmp_path):
     values = doc["sequences"][0]["values"]
     idx = points.index(8)
     assert values[idx][0] == pytest.approx(1.0 / math.log(8))
+
+
+def _stderr_line(capsys) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", ["run", "nctorus", "measurability"])
+def test_config_file_errors_exit_2(command, tmp_path, capsys):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    for path in (tmp_path / "missing.json", tmp_path, bad_json):
+        assert main([command, "--config", str(path)]) == 2
+        assert _stderr_line(capsys).startswith("parameter error: ")
+
+
+@pytest.mark.parametrize("doc", [5, "experiments", None, {"experiments": 5}])
+def test_batch_document_must_be_object_or_list(doc, tmp_path, capsys):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path)]) == 2
+    assert _stderr_line(capsys).startswith("parameter error: ")
+
+
+@pytest.mark.parametrize(
+    "kind, params, named",
+    [
+        ("KernelCheck", {"b": {"modes": [[-1, 1.0, 0.0]]}, "N": 16}, "'a'"),
+        ("KernelCheck", {"a": {"modes": [[1, "x", 0]]}, "b": "z^-1", "N": 16}, "a:"),
+        ("WeierstrassTrace", {"gama": 3}, "'gama'"),
+        ("HnCheck", {"m_max": "four"}, "m_max:"),
+    ],
+)
+def test_rejected_params_name_the_parameter(kind, params, named, tmp_path, capsys):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps({"kind": kind, "params": params}))
+    assert main(["run", "--config", str(path)]) == 2
+    line = _stderr_line(capsys)
+    assert line.startswith(f"parameter error: {kind}: ") and named in line
+    with pytest.raises(ParameterError):
+        run_experiment(ExperimentConfig(kind, params))
+
+
+def test_help_lists_every_parameter_default(capsys):
+    for kind in cli._KINDS.values():
+        with pytest.raises(SystemExit):
+            main([kind.command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        records = [p.parse for p in kind.params.params if isinstance(p.parse, cli._Table)]
+        for table in [kind.params, *records]:
+            for p in table.params:
+                if (p.cli or kind.config_file) and not isinstance(p.parse, cli._Table):
+                    assert cli._help(p) in text
+    with pytest.raises(SystemExit):
+        main(["measurability", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--window-count WINDOW_COUNT default: 5" in text
+    assert "--rule C inline coefficient rule, default: constant:1" in text
+
+
+def test_measurability_labels(tmp_path):
+    single = run_experiment(ExperimentConfig("Measurability", {"N": "4**7"}))
+    assert single.inputs["entries"][0]["label"] == "sequence"
+    listed = run_experiment(ExperimentConfig("Measurability", {"N": "4**7", "entries": [{"gamma": 3}]}))
+    assert listed.inputs["entries"][0]["label"] == "gamma=3"
+    out = tmp_path / "m.json"
+    assert main(["measurability", "--rule", "sqrt-log-cos", "--N", "4**7", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["inputs"]["entries"][0]["label"] == "sqrt-log-cos"
+
+
+# One small valid params object per kind; the property test below breaks one
+# thing in a copy of it.
+SMALL = {
+    "WeierstrassTrace": {"N": "2**20"},
+    "Measurability": {"N": "4**7", "c": "block-indicator:2"},
+    "SingularValueSweep": {"N": 64, "k_lo": 2},
+    "KernelCheck": {
+        "a": {"modes": [[1, 1.0, 0.0]]},
+        "b": {"modes": [[-1, 1.0, 0.0]]},
+        "N": 8,
+        "grid": 64,
+    },
+    "Winding": {"a": {"power": 2}, "N": 8},
+    "NcTorus": {"N": 4, "symbols": [{"pair": [1, 0]}, {"pair": [0, 1]}]},
+    "HnCheck": {"m_max": 2, "N": 8},
+    "FourierTrace": {"a": "z^2", "b": {"power": -2}, "N": 16},
+}
+
+BAD_RULES = ["nonsense:1", "constant:abc", 5, [], {"hed": [1]}, {"head": [], "extension": "periodic"}]
+BAD_SYMBOLS = [
+    {"modes": [[1, "x", 0]]},
+    {"modes": 5},
+    {"modes": [[1, 2]]},
+    {"power": "two"},
+    {"weierstrass": {}},
+    {"weierstrass": {"cutoff": 8, "gama": 3}},
+    "z^",
+    7,
+    {"nothing": 1},
+]
+BAD_ENTRIES = [5, [7], [{"gama": 3}], [{"c": "nonsense:1"}]]
+BAD_POLICIES = [{"window_count": "x"}, {"windows": 3}, {"rel_gap": -1.0}, 5]
+BAD_TWISTS = [{"random": "x"}, {"matrix": "abc"}, {"matrix": [[0, 1], [1, 0]]}, {}, "one"]
+BAD_LATTICE_SYMBOLS = [
+    5,
+    [{"pair": "ab"}],
+    [{"pair": [1, 0], "amplitude": "x"}],
+    [{"modes": 5}],
+    [{"modes": [[[1, 0], "x", 0]]}],
+    [{}],
+]
+# Malformed values of the nested specs, by parameter name.
+BAD_NESTED = {
+    "c": BAD_RULES,
+    "d": BAD_RULES,
+    "a": BAD_SYMBOLS,
+    "b": BAD_SYMBOLS,
+    "entries": BAD_ENTRIES,
+    "policy": BAD_POLICIES,
+    "theta": BAD_TWISTS,
+    "symbols": BAD_LATTICE_SYMBOLS,
+}
+BAD_LIMITS = [{"max_matrix": "x"}, {"max_matrx": 10}, {"max_tuples": []}, 5]
+NOT_A_NUMBER = st.one_of(
+    st.text(alphabet="abcxyz", min_size=1, max_size=5),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def broken_configs(draw):
+    kind = draw(st.sampled_from(sorted(SMALL)))
+    table = cli._KINDS[kind].params.params
+    params = copy.deepcopy(SMALL[kind])
+    entry = {"kind": kind, "params": params}
+    names = [p.name for p in table]
+    required = [p.name for p in table if p.default is cli._REQUIRED]
+    numeric = [p.name for p in table if p.parse in (int, float, cli.parse_int_expr)]
+    nested = [(p.name, BAD_NESTED[p.name]) for p in table if p.name in BAD_NESTED]
+    how = draw(
+        st.sampled_from(
+            ["unknown key", "wrong type", "limits"]
+            + (["missing key"] if required else [])
+            + (["nested"] if nested else [])
+        )
+    )
+    if how == "unknown key":
+        key = draw(st.text(max_size=8).filter(lambda k: k not in names))
+        params[key] = draw(st.one_of(st.none(), st.integers(), st.text(max_size=4)))
+    elif how == "missing key":
+        del params[draw(st.sampled_from(required))]
+    elif how == "wrong type":
+        params[draw(st.sampled_from(numeric))] = draw(NOT_A_NUMBER)
+    elif how == "nested":
+        name, bad = draw(st.sampled_from(nested))
+        params[name] = draw(st.sampled_from(bad))
+    else:
+        entry["limits"] = draw(st.sampled_from(BAD_LIMITS))
+    return entry
+
+
+def _run_batch(doc) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, entry in enumerate(doc):
+            entry["output"] = {"path": os.path.join(tmp, f"{i}.out")}
+        path = os.path.join(tmp, "batch.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--config", path])
+    return code, err.getvalue()
+
+
+def test_small_configs_run():
+    doc = [{"kind": kind, "params": copy.deepcopy(params)} for kind, params in SMALL.items()]
+    assert _run_batch(doc) == (0, "")
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(broken_configs())
+def test_malformed_batch_configs_exit_2(entry):
+    code, err = _run_batch([entry])
+    assert code == 2
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("parameter error: ")

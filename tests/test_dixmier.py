@@ -16,7 +16,6 @@ from circletrace.dixmier import (
     VerdictKind,
     cesaro_mean,
     classify_limit,
-    classify_limit_gamma_adic,
     log_extrapolate,
     log_mean_transform,
     residue_sequence,
@@ -222,7 +221,7 @@ def test_classifier_rejects_short_sequences():
 def test_classifier_gamma_adic_option():
     n = 3**12
     x = 1.0 + 1.0 / np.sqrt(np.arange(n) + 1.0)
-    verdict = classify_limit_gamma_adic(x, gamma=3)
+    verdict = classify_limit(x, ClassifyPolicy(window_base=3))
     assert verdict.kind is VerdictKind.CONVERGENT
     assert verdict.limit == pytest.approx(1.0, abs=1e-2)
     assert verdict.policy.window_base == 3

@@ -190,3 +190,11 @@ class TestCoefficientRule:
             CoefficientRule(extension="block-indicator", base=1)
         with pytest.raises(ParameterError):
             CoefficientRule(head=(float("nan"),), extension="constant")
+
+
+def test_json_non_numeric_mode_entries_are_parameter_errors():
+    for entry in ([1, "x", 0], [1, 0, [2]], ["x", 1, 0], [None, 1, 0]):
+        with pytest.raises(ParameterError, match="malformed mode entry"):
+            symbol_from_json_obj({"modes": [entry]})
+    with pytest.raises(ParameterError):
+        symbol_from_json_obj({"modes": 5})

@@ -163,3 +163,10 @@ def test_eigenvalue_sum_equals_trace():
     herm = (mat + mat.conj().T) / 2
     eigs = hermitian_eigenvalues(hardy_op(herm))
     assert np.sum(eigs) == pytest.approx(np.trace(herm).real, abs=1e-10)
+
+
+def test_decay_slope_zero_window_names_the_rank():
+    rank_three = SingularSpectrum(np.concatenate([[3.0, 2.0, 1.0], np.zeros(13)]))
+    with pytest.raises(ParameterError, match=r"numerical rank 3\b"):
+        decay_slope(rank_three, 1, 8)
+    assert decay_slope(rank_three, 1, 3) < 0
