@@ -180,6 +180,14 @@ def parse_int_expr(text) -> int:
         raise ParameterError(f"cannot parse integer expression {text!r}")
 
 
+def parse_size(text) -> int:
+    """A positive integer, in any form ``parse_int_expr`` accepts."""
+    value = parse_int_expr(text)
+    if value < 1:
+        raise ParameterError(f"must be a positive integer, got {value}")
+    return value
+
+
 def rule_from_obj(obj) -> CoefficientRule:
     """Coefficient rule from a JSON object or a compact string form.
 
@@ -310,7 +318,7 @@ def _kind(name: str, command: str, help: str, *params: Param, config_file: bool 
     _GAMMA, _ALPHA, _C,
     Param("d", rule_from_obj, lambda v: v["c"], flag="--d-coeffs",
           help="coefficient rule for d, default: the c rule"),
-    Param("N", parse_int_expr, "2**40"),
+    Param("N", parse_size, "2**40"),
 )
 def _run_weierstrass_trace(limits: Limits, *, gamma, alpha, c, d, N) -> Report:
     if alpha != 0.5:
@@ -356,7 +364,7 @@ def _entries_file(path: str):
 # Without "entries" the params are one entry, labelled "sequence".
 @_kind(
     "Measurability", "measurability", "limit classification verdict table",
-    Param("N", parse_int_expr, "4**10"),
+    Param("N", parse_size, "4**10"),
     Param("policy", _record(ClassifyPolicy, cli=("window_count", "rel_gap", "abs_floor")), {}),
     Param("entries", _entries, None, flag="--config", arg=_entries_file,
           help='JSON file with an entries list, or {"entries": [...]}'),
@@ -388,7 +396,7 @@ def _run_measurability(limits: Limits, *, N, policy, entries, label, gamma, c, d
 
 @_kind(
     "SingularValueSweep", "singular-sweep", "Hankel singular values of a lacunary symbol",
-    _ALPHA, _GAMMA, _C, Param("N", parse_int_expr, 1024),
+    _ALPHA, _GAMMA, _C, Param("N", parse_size, 1024),
     Param("p", float, lambda v: 1.0 / v["alpha"], help="quasinorm exponent, default: 1/alpha"),
     Param("k_lo", int, 16),
     Param("k_hi", int, lambda v: min(512, v["N"] // 4), help="default: min(512, N/4)"),
@@ -415,8 +423,8 @@ _B = replace(_A, name="b")
 
 @_kind(
     "KernelCheck", "kernel-check", "integral kernel quadrature vs double sum",
-    _A, _B, Param("N", parse_int_expr, 64), Param("r", float, 1.0 - 1e-6),
-    Param("grid", parse_int_expr, lambda v: 8 * v["N"], help="default: 8*N"),
+    _A, _B, Param("N", parse_size, 64), Param("r", float, 1.0 - 1e-6),
+    Param("grid", parse_size, lambda v: 8 * v["N"], help="default: 8*N"),
 )
 def _run_kernel_check(limits: Limits, *, a, b, N, r, grid) -> Report:
     if N > limits.max_matrix:
@@ -441,7 +449,7 @@ def _double_sum(a: FourierSymbol, b: FourierSymbol, n_trunc: int) -> complex:
     return total
 
 
-@_kind("Winding", "winding", "winding number trace", _A, Param("N", parse_int_expr, 64))
+@_kind("Winding", "winding", "winding number trace", _A, Param("N", parse_size, 64))
 def _run_winding(limits: Limits, *, a, N) -> Report:
     if 2 * N + 1 > limits.max_matrix:
         raise ResourceLimitError(f"truncation {N} exceeds the matrix cap")
@@ -471,8 +479,8 @@ _T_MAPS = {
 # checked before the twist and the symbols are sized by it.
 @_kind(
     "NcTorus", "nctorus", "twisted torus truncated trace sums",
-    Param("n", lambda n: clifford_rep(int(n)), 2, help="torus dimension"),
-    Param("N", parse_int_expr, 64),
+    Param("n", lambda n: clifford_rep(parse_size(n)), 2, help="torus dimension"),
+    Param("N", parse_size, 64),
     Param("T", str, "grading-dirac", help="one of " + ", ".join(_T_MAPS)),
     Param("theta", _twist_from_obj, "zero", uses=("n",),
           help='"zero", {"matrix": ...} or {"random": seed, "scale": s}'),
@@ -501,7 +509,7 @@ def _run_nctorus(limits: Limits, *, n: CliffordRep, N, T, theta, symbols) -> Rep
 
 @_kind(
     "HnCheck", "hn", "sphere kernel consistency sweep",
-    Param("m_max", int, 4), Param("N", parse_int_expr, 64), Param("t_points", int, 64),
+    Param("m_max", parse_size, 4), Param("N", parse_size, 64), Param("t_points", parse_size, 64),
 )
 def _run_hn_check(limits: Limits, *, m_max, N, t_points) -> Report:
     t_grid = np.linspace(0.0, 1.0, t_points + 1)[1:]
@@ -523,7 +531,7 @@ def _run_hn_check(limits: Limits, *, m_max, N, t_points) -> Report:
 
 @_kind(
     "FourierTrace", "fourier-trace", "Fourier-side trace partial sums",
-    _A, _B, Param("N", parse_int_expr, 256), Param("symmetric", bool, False),
+    _A, _B, Param("N", parse_size, 256), Param("symmetric", bool, False),
 )
 def _run_fourier_trace(limits: Limits, *, a, b, N, symmetric) -> Report:
     seq = (cf.symmetric_fourier_trace if symmetric else cf.fourier_side_trace)(a, b, N)
@@ -556,11 +564,19 @@ _EXPERIMENT = _Table(
 )
 
 
+def _write_file(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path``; an unwritable path is a ParameterError."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path!r}: {exc.strerror or exc}") from None
+
+
 def _write_output(data: bytes, out_path: str | None) -> None:
     if out_path is None or out_path == "-":
         sys.stdout.buffer.write(data)
     else:
-        Path(out_path).write_bytes(data)
+        _write_file(out_path, data)
 
 
 def _config_from_json_obj(obj: dict) -> ExperimentConfig:
@@ -576,7 +592,7 @@ def _execute(config: ExperimentConfig, dump_operator: str | None = None) -> None
     if dump_operator:
         params = _KINDS["Winding"].params(config.params)
         obj = operator_to_json_obj(commutator_matrix(params["a"], params["N"]))
-        Path(dump_operator).write_text(json.dumps(obj))
+        _write_file(dump_operator, json.dumps(obj).encode())
     _write_output(emit_report(report, config.out_format), config.out_path)
 
 

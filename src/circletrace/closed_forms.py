@@ -28,7 +28,7 @@ from .fourier import (
     sample_to_symbol,
     symbol_eval,
 )
-from .operators import commutator_matrix, szego_reflection
+from .operators import commutator_matrix
 
 __all__ = [
     "TraceSequence",
@@ -365,12 +365,11 @@ def winding_report(a: FourierSymbol, n_trunc: int) -> WindingReport:
     if n_trunc < 1:
         raise ParameterError("truncation size must be >= 1")
     inverse, residual = invert_symbol(a)
-    refl = szego_reflection(n_trunc)
     ca = commutator_matrix(a, n_trunc)
     ci = commutator_matrix(inverse, n_trunc)
-    tr = complex(
-        np.einsum("i,ij,ji->", np.diagonal(refl.matrix), ca.matrix, ci.matrix)
-    )
+    # 2P - 1 is diagonal: +1 on modes >= 0, -1 below
+    refl = np.where(np.asarray(ca.row_basis.labels) >= 0, 1.0, -1.0)
+    tr = complex(np.einsum("i,ij,ji->", refl, ca.matrix, ci.matrix))
     safe_band = n_trunc - (a.n_max + inverse.n_max)
     return WindingReport(
         value=float(tr.real),

@@ -2,8 +2,10 @@
 
 Builds the Hardy projection, the sign reflection 2P-1, multiplication
 operators, Hankel blocks and commutators [P, a], and products thereof.
-Matrices are dense complex arrays tagged with basis index maps so products
-can refuse mismatched bases instead of silently misaligning modes.
+Matrices are dense arrays tagged with basis index maps so products can
+refuse mismatched bases instead of silently misaligning modes.  A matrix
+keeps the dtype its entries have: float64 for a real input (a Hankel block
+of real coefficients), complex128 otherwise.
 
 Truncation note: for a trig-polynomial symbol of degree d, entries of a
 product of two truncated commutators are exact on rows/columns whose mode
@@ -106,7 +108,7 @@ class TruncatedOperator:
     col_basis: BasisIndexMap
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         if mat.ndim != 2:
             raise ParameterError("operator matrix must be 2-d")
         if mat.shape != (self.row_basis.size, self.col_basis.size):
@@ -146,11 +148,14 @@ def hankel_matrix(a: FourierSymbol, n: int) -> TruncatedOperator:
 
     Rows run over holomorphic modes 0..N-1, columns over antiholomorphic
     modes -1..-N; only the analytic part of the symbol contributes, and the
-    matrix is constant along anti-diagonals.
+    matrix is constant along anti-diagonals.  It is real when the analytic
+    coefficients are.
     """
     if n < 1:
         raise ParameterError("truncation size must be >= 1")
     vec = _coeff_lookup(a, 0, 2 * n)
+    if not vec.imag.any():
+        vec = vec.real
     idx = np.add.outer(np.arange(n), np.arange(n)) + 1
     return TruncatedOperator(vec[idx], hardy_basis(n), antiholomorphic_basis(n))
 

@@ -40,11 +40,30 @@ class SingularSpectrum:
 
 
 def singular_values(op: TruncatedOperator) -> SingularSpectrum:
-    """Full SVD spectrum; decomposition failure raises, never returns zeros."""
+    """All min(m, n) singular values, by a route read off the matrix itself.
+
+    1. Rows and columns that are exactly zero are dropped; each contributes
+       an exact zero, kept as zero padding at the end of mu.
+    2. A square, exactly Hermitian remaining block (``B == B^H`` entrywise,
+       e.g. a real Hankel H[l, i] = a_{l+i+1}) gives mu = |eigvalsh(B)|.
+    3. Any other block takes the dense SVD.
+
+    Routes 1 and 2 agree with the dense SVD of the whole matrix to within
+    1e-13 * mu_0 (tested).  Decomposition failure raises, never returns zeros.
+    """
+    mat = op.matrix
+    rows, cols = mat.any(axis=1), mat.any(axis=0)
+    if not (rows.all() and cols.all()):
+        mat = mat[np.ix_(rows, cols)]
     try:
-        mu = np.linalg.svd(op.matrix, compute_uv=False)
+        if mat.shape[0] == mat.shape[1] and np.array_equal(mat, mat.conj().T):
+            block_mu = np.sort(np.abs(np.linalg.eigvalsh(mat)))[::-1]
+        else:
+            block_mu = np.linalg.svd(mat, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise SpectralError(f"singular value decomposition failed: {exc}") from exc
+        raise SpectralError(f"singular value computation failed: {exc}") from exc
+    mu = np.zeros(min(op.shape))
+    mu[: block_mu.size] = block_mu
     return SingularSpectrum(mu)
 
 

@@ -315,6 +315,8 @@ def test_batch_document_must_be_object_or_list(doc, tmp_path, capsys):
         ("KernelCheck", {"a": {"modes": [[1, "x", 0]]}, "b": "z^-1", "N": 16}, "a:"),
         ("WeierstrassTrace", {"gama": 3}, "'gama'"),
         ("HnCheck", {"m_max": "four"}, "m_max:"),
+        ("HnCheck", {"N": 8, "t_points": 0}, "t_points:"),
+        ("KernelCheck", {"a": "z^1", "b": "z^-1", "N": 16, "grid": "-3"}, "grid:"),
     ],
 )
 def test_rejected_params_name_the_parameter(kind, params, named, tmp_path, capsys):
@@ -325,6 +327,22 @@ def test_rejected_params_name_the_parameter(kind, params, named, tmp_path, capsy
     assert line.startswith(f"parameter error: {kind}: ") and named in line
     with pytest.raises(ParameterError):
         run_experiment(ExperimentConfig(kind, params))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hn", "--m-max", "2", "--N", "8", "--out", "{target}"],
+        ["winding", "--a", "z^1", "--N", "4", "--dump-operator", "{target}", "--out", "{ok}"],
+    ],
+)
+def test_unwritable_output_path_exits_2(argv, tmp_path, capsys):
+    target = str(tmp_path / "missing" / "x.json")
+    argv = [arg.format(target=target, ok=tmp_path / "ok.json") for arg in argv]
+    assert main(argv) == 2
+    assert _stderr_line(capsys) == (
+        f"parameter error: cannot write {target!r}: No such file or directory"
+    )
 
 
 def test_help_lists_every_parameter_default(capsys):
@@ -422,11 +440,12 @@ def broken_configs(draw):
     entry = {"kind": kind, "params": params}
     names = [p.name for p in table]
     required = [p.name for p in table if p.default is cli._REQUIRED]
-    numeric = [p.name for p in table if p.parse in (int, float, cli.parse_int_expr)]
+    numeric = [p.name for p in table if p.parse in (int, float, cli.parse_int_expr, cli.parse_size)]
+    sizes = [p.name for p in table if p.parse is cli.parse_size]
     nested = [(p.name, BAD_NESTED[p.name]) for p in table if p.name in BAD_NESTED]
     how = draw(
         st.sampled_from(
-            ["unknown key", "wrong type", "limits"]
+            ["unknown key", "wrong type", "limits", "zero size", "negative size"]
             + (["missing key"] if required else [])
             + (["nested"] if nested else [])
         )
@@ -438,6 +457,10 @@ def broken_configs(draw):
         del params[draw(st.sampled_from(required))]
     elif how == "wrong type":
         params[draw(st.sampled_from(numeric))] = draw(NOT_A_NUMBER)
+    elif how == "zero size":
+        params[draw(st.sampled_from(sizes))] = draw(st.sampled_from([0, "0", "0**3"]))
+    elif how == "negative size":
+        params[draw(st.sampled_from(sizes))] = draw(st.integers(max_value=-1))
     elif how == "nested":
         name, bad = draw(st.sampled_from(nested))
         params[name] = draw(st.sampled_from(bad))

@@ -4,12 +4,14 @@ import pytest
 from circletrace.errors import ParameterError
 from circletrace.fourier import (
     CoefficientRule,
+    FourierSymbol,
     WeierstrassParams,
     mode_symbol,
     weierstrass_symbol,
 )
 from circletrace.operators import (
     TruncatedOperator,
+    antiholomorphic_basis,
     commutator_matrix,
     hankel_matrix,
     hardy_basis,
@@ -170,3 +172,70 @@ def test_decay_slope_zero_window_names_the_rank():
     with pytest.raises(ParameterError, match=r"numerical rank 3\b"):
         decay_slope(rank_three, 1, 8)
     assert decay_slope(rank_three, 1, 3) < 0
+
+
+# singular_values picks its route (trim exact zeros, eigvalsh for an exactly
+# Hermitian block, SVD otherwise); every route must match the dense SVD of
+# the whole matrix to 1e-13 * mu_0 and pad with exact zeros.
+def _real_hankel(n):
+    w = weierstrass_symbol(WeierstrassParams(0.5, 2, CoefficientRule.constant(1.0)), 2 * n)
+    return hankel_matrix(w, n)
+
+
+def _complex_symmetric_hankel(n):
+    rng = np.random.default_rng(4)
+    coeffs = {k: complex(rng.standard_normal(), rng.standard_normal()) for k in range(1, 2 * n)}
+    return hankel_matrix(FourierSymbol(coeffs), n)
+
+
+def _complex_hermitian(n):
+    rng = np.random.default_rng(5)
+    mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return hardy_op(mat + mat.conj().T)
+
+
+def _low_rank_hankel(n):
+    # degree-24 trig polynomial: only the leading 24 x 24 block is nonzero
+    rng = np.random.default_rng(7)
+    return hankel_matrix(FourierSymbol({k: rng.uniform(0.3, 1.0) for k in range(-24, 25)}), n)
+
+
+def _real_op(mat):
+    m, n = mat.shape
+    return TruncatedOperator(mat, hardy_basis(m), antiholomorphic_basis(n))
+
+
+def _zero_rows(m, n):
+    mat = np.random.default_rng(8).standard_normal((m, n))
+    mat[::3] = 0.0  # zero rows, no zero column
+    return _real_op(mat)
+
+
+ORACLE_CASES = {
+    "real symmetric Hankel": lambda: _real_hankel(256),
+    "complex Hermitian": lambda: _complex_hermitian(96),
+    "complex symmetric Hankel": lambda: _complex_symmetric_hankel(128),
+    "real non-symmetric": lambda: _real_op(np.random.default_rng(6).standard_normal((80, 80))),
+    "low-rank Hankel": lambda: _low_rank_hankel(256),
+    "wide, zero rows": lambda: _zero_rows(30, 50),
+    "tall, zero rows": lambda: _zero_rows(60, 20),
+    "all zero": lambda: _real_op(np.zeros((7, 9))),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_singular_values_match_dense_svd(case):
+    op = ORACLE_CASES[case]()
+    mu = singular_values(op).mu
+    oracle = np.linalg.svd(op.matrix, compute_uv=False)
+    assert mu.shape == (min(op.shape),)
+    assert np.max(np.abs(mu - oracle)) <= 1e-13 * oracle[0]
+    rows, cols = op.matrix.any(axis=1).sum(), op.matrix.any(axis=0).sum()
+    assert np.all(mu[min(rows, cols):] == 0.0)
+
+
+def test_operator_dtype_follows_its_entries():
+    assert _real_op(np.eye(3, dtype=int)).matrix.dtype == np.float64
+    assert _real_hankel(16).matrix.dtype == np.float64
+    assert _low_rank_hankel(16).matrix.dtype == np.float64
+    assert _complex_symmetric_hankel(16).matrix.dtype == np.complex128
