@@ -26,7 +26,6 @@ from .fourier import (
     symbol_eval,
     symbol_from_json_obj,
     symbol_to_json_obj,
-    weierstrass_levels,
     weierstrass_symbol,
 )
 from .littlewood_paley import INF, LPBlock, besov_norm, holder_norm_star, lp_block, lp_convolve

@@ -399,13 +399,15 @@ def _run_measurability(limits: Limits, *, N, policy, entries, label, gamma, c, d
     _ALPHA, _GAMMA, _C, Param("N", parse_size, 1024),
     Param("p", float, lambda v: 1.0 / v["alpha"], help="quasinorm exponent, default: 1/alpha"),
     Param("k_lo", int, 16),
-    Param("k_hi", int, lambda v: min(512, v["N"] // 4), help="default: min(512, N/4)"),
+    Param("k_hi", int, None, help="default: min(512, N/4, numerical rank)"),
 )
 def _run_singular_sweep(limits: Limits, *, alpha, gamma, c, N, p, k_lo, k_hi) -> Report:
     if N > limits.max_matrix:
         raise ResourceLimitError(f"matrix size {N} exceeds the cap {limits.max_matrix}")
     symbol = weierstrass_symbol(WeierstrassParams(alpha=alpha, gamma=gamma, c=c), 2 * N)
     spectrum = singular_values(hankel_matrix(symbol, N))
+    if k_hi is None:
+        k_hi = min(512, N // 4, int(np.count_nonzero(spectrum.mu > 0)))
     report = Report(kind="SingularValueSweep")
     report.inputs = dict(alpha=alpha, gamma=gamma, N=N, c=_rule_json(c), p=p, k_lo=k_lo, k_hi=k_hi)
     mu, expression = spectrum.mu, "singular values of P W (1-P) truncated"

@@ -182,6 +182,14 @@ def weierstrass_trace(
 _KERNEL_SWITCH = 2.0**-20
 
 
+def _ramp_horner(w: np.ndarray, n_trunc: int) -> np.ndarray:
+    """sum_{k=0}^{N} (k+1) w^k by Horner's rule, for w near the pole w = 1."""
+    acc = np.full(w.shape, n_trunc + 1.0, dtype=complex)
+    for k in range(n_trunc - 1, -1, -1):
+        acc = acc * w + (k + 1)
+    return acc
+
+
 def _ramp_polynomial(w: np.ndarray, n_trunc: int, switch: float) -> np.ndarray:
     """sum_{k=0}^{N} (k+1) w^k, stable on and off the w = 1 singularity.
 
@@ -199,11 +207,7 @@ def _ramp_polynomial(w: np.ndarray, n_trunc: int, switch: float) -> np.ndarray:
             1.0 - wf
         ) ** 2
     if np.any(near):
-        wn = w[near]
-        acc = np.full(wn.shape, n_trunc + 1.0, dtype=complex)
-        for k in range(n_trunc - 1, -1, -1):
-            acc = acc * wn + (k + 1)
-        out[near] = acc
+        out[near] = _ramp_horner(w[near], n_trunc)
     return out
 
 
@@ -227,11 +231,7 @@ def szego_square_kernel(z, zeta, n_trunc: int):
         wf = w[far]
         out[far] = (1.0 - wf ** (n_trunc + 1)) / (1.0 - wf) ** 2
     if np.any(near):
-        wn = w[near]
-        acc = np.full(wn.shape, n_trunc + 1.0, dtype=complex)
-        for k in range(n_trunc - 1, -1, -1):
-            acc = acc * wn + (k + 1)
-        out[near] = acc
+        out[near] = _ramp_horner(w[near], n_trunc)
     out /= math.log(n_trunc)
     return complex(out[0]) if scalar else out
 
@@ -368,7 +368,7 @@ def winding_report(a: FourierSymbol, n_trunc: int) -> WindingReport:
     ca = commutator_matrix(a, n_trunc)
     ci = commutator_matrix(inverse, n_trunc)
     # 2P - 1 is diagonal: +1 on modes >= 0, -1 below
-    refl = np.where(np.asarray(ca.row_basis.labels) >= 0, 1.0, -1.0)
+    refl = np.where(ca.row_basis.labels >= 0, 1.0, -1.0)
     tr = complex(np.einsum("i,ij,ji->", refl, ca.matrix, ci.matrix))
     safe_band = n_trunc - (a.n_max + inverse.n_max)
     return WindingReport(

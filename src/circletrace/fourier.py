@@ -27,7 +27,6 @@ __all__ = [
     "mode_symbol",
     "cosine_symbol",
     "weierstrass_symbol",
-    "weierstrass_levels",
     "circle_grid",
     "sample_to_symbol",
     "hardy_split",
@@ -195,23 +194,6 @@ class CoefficientRule:
         n[0] = 1.0
         return np.sqrt(2.0 + np.cos(np.log(n)))
 
-    def value(self, n: int) -> float:
-        if n < 0:
-            raise ParameterError("coefficient index must be nonnegative")
-        if self.extension == "constant":
-            return self.head[n] if n < len(self.head) else self.head[-1]
-        if self.extension == "periodic":
-            return self.head[n % len(self.head)]
-        if self.extension == "block-indicator":
-            g = int(self.base)
-            lo = 1
-            while lo <= n:
-                if lo <= n < lo * g:
-                    return 0.0
-                lo *= g * g
-            return 1.0
-        return math.sqrt(2.0 + math.cos(math.log(max(n, 1))))
-
 
 @dataclass(frozen=True)
 class WeierstrassParams:
@@ -229,24 +211,15 @@ class WeierstrassParams:
         object.__setattr__(self, "gamma", int(self.gamma))
 
 
-def weierstrass_levels(params: WeierstrassParams, k_cutoff: int) -> list[tuple[int, int, float]]:
-    """Lacunary levels (n, gamma^n, c_n) with gamma^n <= k_cutoff."""
-    if k_cutoff < 1:
-        raise ParameterError("k_cutoff must be >= 1")
-    levels = []
-    power = 1
-    n = 0
-    while power <= k_cutoff:
-        levels.append((n, power, params.c.value(n)))
-        power *= params.gamma
-        n += 1
-    return levels
-
-
 def weierstrass_symbol(params: WeierstrassParams, k_cutoff: int) -> FourierSymbol:
     """Symbol with coefficient gamma^(-alpha*n)*c_n at modes +-gamma^n, gamma^n <= k_cutoff."""
+    if k_cutoff < 1:
+        raise ParameterError("k_cutoff must be >= 1")
+    powers = [1]
+    while powers[-1] * params.gamma <= k_cutoff:
+        powers.append(powers[-1] * params.gamma)
     coeffs: dict[int, complex] = {}
-    for n, power, cn in weierstrass_levels(params, k_cutoff):
+    for n, (power, cn) in enumerate(zip(powers, params.c.values(len(powers)))):
         amp = params.gamma ** (-params.alpha * n) * cn
         if amp != 0.0:
             coeffs[power] = complex(amp)

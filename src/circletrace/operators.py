@@ -48,57 +48,41 @@ class OrderingRule(Enum):
     ANTIHOLOMORPHIC = "antiholomorphic"  # -1, -2, -3, ...
 
 
-def _expected_labels(rule: OrderingRule, size: int) -> tuple[int, ...]:
-    if rule is OrderingRule.HARDY_NATURAL:
-        return tuple(range(size))
-    if rule is OrderingRule.ANTIHOLOMORPHIC:
-        return tuple(-1 - i for i in range(size))
-    labels = [0]
-    m = 1
-    while len(labels) < size:
-        labels.append(m)
-        if len(labels) < size:
-            labels.append(-m)
-        m += 1
-    return tuple(labels)
-
-
 @dataclass(frozen=True)
 class BasisIndexMap:
-    """Ordered Fourier-mode labels together with the rule they follow."""
+    """Fourier modes fixed by an ordering rule and a size.
 
-    labels: tuple[int, ...]
+    ``labels`` computes the modes in order as an int64 array.
+    """
+
     ordering_rule: OrderingRule
+    size: int
 
     def __post_init__(self) -> None:
-        labels = tuple(int(k) for k in self.labels)
-        object.__setattr__(self, "labels", labels)
-        if len(set(labels)) != len(labels):
-            raise ParameterError("basis labels must be distinct")
-        if labels != _expected_labels(self.ordering_rule, len(labels)):
-            raise ParameterError(
-                f"labels do not follow the {self.ordering_rule.value} ordering"
-            )
+        if self.size < 0:
+            raise ParameterError(f"basis size must be >= 0, got {self.size}")
 
     @property
-    def size(self) -> int:
-        return len(self.labels)
+    def labels(self) -> np.ndarray:
+        i = np.arange(self.size, dtype=np.int64)
+        if self.ordering_rule is OrderingRule.HARDY_NATURAL:
+            return i
+        if self.ordering_rule is OrderingRule.ANTIHOLOMORPHIC:
+            return -1 - i
+        return np.where(i % 2 == 1, (i + 1) // 2, -(i // 2))
 
 
 def hardy_basis(size: int) -> BasisIndexMap:
-    return BasisIndexMap(tuple(range(size)), OrderingRule.HARDY_NATURAL)
+    return BasisIndexMap(OrderingRule.HARDY_NATURAL, size)
 
 
 def antiholomorphic_basis(size: int) -> BasisIndexMap:
-    return BasisIndexMap(tuple(-1 - i for i in range(size)), OrderingRule.ANTIHOLOMORPHIC)
+    return BasisIndexMap(OrderingRule.ANTIHOLOMORPHIC, size)
 
 
 def full_basis(n: int) -> BasisIndexMap:
     """Modes -n..n ordered by modulus, nonnegative mode first on ties."""
-    return BasisIndexMap(
-        _expected_labels(OrderingRule.FULL_BY_MODULUS, 2 * n + 1),
-        OrderingRule.FULL_BY_MODULUS,
-    )
+    return BasisIndexMap(OrderingRule.FULL_BY_MODULUS, 2 * n + 1)
 
 
 @dataclass(frozen=True)
@@ -129,9 +113,6 @@ class TruncatedOperator:
         if self.row_basis != self.col_basis:
             raise BasisMismatchError("trace needs identical row and column bases")
         return complex(np.trace(self.matrix))
-
-    def adjoint(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.matrix.conj().T, self.col_basis, self.row_basis)
 
 
 def _coeff_lookup(a: FourierSymbol, lo: int, hi: int) -> np.ndarray:
@@ -165,7 +146,7 @@ def commutator_matrix(a: FourierSymbol, n: int) -> TruncatedOperator:
     if n < 1:
         raise ParameterError("truncation size must be >= 1")
     basis = full_basis(n)
-    labels = np.asarray(basis.labels)
+    labels = basis.labels
     vec = _coeff_lookup(a, -2 * n, 2 * n)
     diff = labels[:, None] - labels[None, :]
     sign = (labels[:, None] >= 0).astype(float) - (labels[None, :] >= 0).astype(float)
@@ -174,7 +155,7 @@ def commutator_matrix(a: FourierSymbol, n: int) -> TruncatedOperator:
 
 def multiplication_matrix(a: FourierSymbol, basis: BasisIndexMap) -> TruncatedOperator:
     """Multiplication by ``a`` compressed to the given basis: [m, l] = a_{m-l}."""
-    labels = np.asarray(basis.labels)
+    labels = basis.labels
     span = int(labels.max() - labels.min())
     vec = _coeff_lookup(a, -span, span)
     diff = labels[:, None] - labels[None, :]
@@ -184,7 +165,7 @@ def multiplication_matrix(a: FourierSymbol, basis: BasisIndexMap) -> TruncatedOp
 def szego_projection(n: int) -> TruncatedOperator:
     """P on modes -n..n: diagonal 1 on modes >= 0, 0 below."""
     basis = full_basis(n)
-    diag = (np.asarray(basis.labels) >= 0).astype(complex)
+    diag = (basis.labels >= 0).astype(complex)
     return TruncatedOperator(np.diag(diag), basis, basis)
 
 
@@ -193,7 +174,7 @@ def szego_reflection(n: int) -> TruncatedOperator:
     if n < 1:
         raise ParameterError("truncation size must be >= 1")
     basis = full_basis(n)
-    diag = np.where(np.asarray(basis.labels) >= 0, 1.0, -1.0).astype(complex)
+    diag = np.where(basis.labels >= 0, 1.0, -1.0).astype(complex)
     return TruncatedOperator(np.diag(diag), basis, basis)
 
 
@@ -217,12 +198,17 @@ def operator_product(ops: list[TruncatedOperator]) -> TruncatedOperator:
 def compress(
     op: TruncatedOperator, row_basis: BasisIndexMap, col_basis: BasisIndexMap
 ) -> TruncatedOperator:
-    """Select the sub-matrix over the given label sets (which must be present)."""
+    """Select the sub-matrix of ``op`` over the labels of the given bases.
+
+    A label absent from the operator's basis raises BasisMismatchError naming it.
+    """
+    row_at = {k: i for i, k in enumerate(op.row_basis.labels.tolist())}
+    col_at = {k: i for i, k in enumerate(op.col_basis.labels.tolist())}
     try:
-        rows = [op.row_basis.labels.index(k) for k in row_basis.labels]
-        cols = [op.col_basis.labels.index(k) for k in col_basis.labels]
-    except ValueError as exc:
-        raise BasisMismatchError(f"compression label missing from operator basis: {exc}")
+        rows = [row_at[k] for k in row_basis.labels.tolist()]
+        cols = [col_at[k] for k in col_basis.labels.tolist()]
+    except KeyError as exc:
+        raise BasisMismatchError(f"compression label {exc} missing from operator basis") from None
     return TruncatedOperator(op.matrix[np.ix_(rows, cols)], row_basis, col_basis)
 
 
@@ -237,11 +223,11 @@ def operator_to_json_obj(op: TruncatedOperator) -> dict:
     return {
         "row_basis": {
             "ordering": op.row_basis.ordering_rule.value,
-            "labels": list(op.row_basis.labels),
+            "labels": op.row_basis.labels.tolist(),
         },
         "col_basis": {
             "ordering": op.col_basis.ordering_rule.value,
-            "labels": list(op.col_basis.labels),
+            "labels": op.col_basis.labels.tolist(),
         },
         "rows": [[[z.real, z.imag] for z in row] for row in op.matrix],
     }

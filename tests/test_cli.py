@@ -151,6 +151,16 @@ def test_singular_sweep_resource_cap():
     assert report.sequences[0]["name"] == "mu"
 
 
+def test_singular_sweep_default_window_stops_at_rank(tmp_path):
+    out = tmp_path / "sweep.json"
+    argv = ["singular-sweep", "--alpha", "0.5", "--gamma", "3", "--coeffs", "block-indicator:2"]
+    assert main([*argv, "--N", "1024", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["inputs"]["k_hi"] == 27
+    slope = next(s for s in report["scalars"] if s["expression"] == "log-log decay slope")
+    assert slope["normalization"] == "window [16,27)"
+
+
 def test_nctorus_reports_are_deterministic_and_csv_capable():
     params = {
         "n": 2,

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -223,12 +225,62 @@ def test_compress_and_json_dump():
 
 
 def test_basis_validation():
+    assert antiholomorphic_basis(3).labels.tolist() == [-1, -2, -3]
+    assert full_basis(2).labels.tolist() == [0, 1, -1, 2, -2]
+
+
+def _loop_labels(rule, size):
+    """Reference labels, built one mode at a time."""
+    if rule is OrderingRule.HARDY_NATURAL:
+        return list(range(size))
+    if rule is OrderingRule.ANTIHOLOMORPHIC:
+        return [-1 - i for i in range(size)]
+    labels = [0]
+    m = 1
+    while len(labels) < size:
+        labels.append(m)
+        if len(labels) < size:
+            labels.append(-m)
+        m += 1
+    return labels[:size]
+
+
+@pytest.mark.parametrize("rule", list(OrderingRule))
+def test_basis_labels_follow_rule(rule):
+    for size in range(10):
+        labels = BasisIndexMap(rule, size).labels
+        assert labels.dtype == np.int64
+        assert labels.tolist() == _loop_labels(rule, size)
+
+
+def test_basis_equality_is_rule_and_size():
+    assert hardy_basis(4) == BasisIndexMap(OrderingRule.HARDY_NATURAL, 4)
+    assert hash(full_basis(3)) == hash(BasisIndexMap(OrderingRule.FULL_BY_MODULUS, 7))
+    assert hardy_basis(4) != hardy_basis(5)
+    assert hardy_basis(4) != antiholomorphic_basis(4)
+    assert hardy_basis(1) != BasisIndexMap(OrderingRule.FULL_BY_MODULUS, 1)
     with pytest.raises(ParameterError):
-        BasisIndexMap((0, 2, 1), OrderingRule.HARDY_NATURAL)
-    with pytest.raises(ParameterError):
-        BasisIndexMap((0, 0, 1), OrderingRule.HARDY_NATURAL)
-    assert antiholomorphic_basis(3).labels == (-1, -2, -3)
-    assert full_basis(2).labels == (0, 1, -1, 2, -2)
+        BasisIndexMap(OrderingRule.HARDY_NATURAL, -1)
+
+
+def test_compress_selects_labels_of_full_basis():
+    rng = np.random.default_rng(4)
+    n = 6
+    mult = multiplication_matrix(random_symbol(rng, 4), full_basis(n))
+    block = compress(mult, hardy_basis(n), antiholomorphic_basis(n))
+    labels = list(full_basis(n).labels)
+    rows = [labels.index(l) for l in range(n)]
+    cols = [labels.index(-1 - i) for i in range(n)]
+    assert np.array_equal(block.matrix, mult.matrix[np.ix_(rows, cols)])
+    with pytest.raises(BasisMismatchError, match="compression label -7 missing"):
+        compress(mult, hardy_basis(n), antiholomorphic_basis(n + 1))
+
+
+def test_operator_dump_is_plain_json():
+    rng = np.random.default_rng(5)
+    obj = operator_to_json_obj(commutator_matrix(random_symbol(rng, 2), 3))
+    text = json.dumps(obj)
+    assert json.loads(text)["col_basis"]["labels"] == [0, 1, -1, 2, -2, 3, -3]
 
 
 def test_operator_validation():
