@@ -398,7 +398,7 @@ def _run_measurability(limits: Limits, *, N, policy, entries, label, gamma, c, d
     "SingularValueSweep", "singular-sweep", "Hankel singular values of a lacunary symbol",
     _ALPHA, _GAMMA, _C, Param("N", parse_size, 1024),
     Param("p", float, lambda v: 1.0 / v["alpha"], help="quasinorm exponent, default: 1/alpha"),
-    Param("k_lo", int, 16),
+    Param("k_lo", int, None, help="default: 16, or max(1, k_hi // 2) when k_hi < 18"),
     Param("k_hi", int, None, help="default: min(512, N/4, numerical rank)"),
 )
 def _run_singular_sweep(limits: Limits, *, alpha, gamma, c, N, p, k_lo, k_hi) -> Report:
@@ -408,6 +408,8 @@ def _run_singular_sweep(limits: Limits, *, alpha, gamma, c, N, p, k_lo, k_hi) ->
     spectrum = singular_values(hankel_matrix(symbol, N))
     if k_hi is None:
         k_hi = min(512, N // 4, int(np.count_nonzero(spectrum.mu > 0)))
+    if k_lo is None:  # 16, unless that leaves fewer than two indices below k_hi
+        k_lo = 16 if k_hi - 16 >= 2 else max(1, k_hi // 2)
     report = Report(kind="SingularValueSweep")
     report.inputs = dict(alpha=alpha, gamma=gamma, N=N, c=_rule_json(c), p=p, k_lo=k_lo, k_hi=k_hi)
     mu, expression = spectrum.mu, "singular values of P W (1-P) truncated"
@@ -431,6 +433,8 @@ _B = replace(_A, name="b")
 def _run_kernel_check(limits: Limits, *, a, b, N, r, grid) -> Report:
     if N > limits.max_matrix:
         raise ResourceLimitError(f"kernel truncation {N} exceeds {limits.max_matrix}")
+    if grid > limits.max_tuples:
+        raise ResourceLimitError(f"quadrature grid of {grid} points exceeds {limits.max_tuples}")
     value = cf.integral_trace(a, b, cf.KernelParams(n_trunc=N, r=r, grid=grid))
     oracle = -_double_sum(a, b, N) / math.log(N)
     refined = cf.integral_trace(a, b, cf.KernelParams(N, 1.0 - (1.0 - r) / 10.0, grid))
@@ -514,18 +518,23 @@ def _run_nctorus(limits: Limits, *, n: CliffordRep, N, T, theta, symbols) -> Rep
     Param("m_max", parse_size, 4), Param("N", parse_size, 64), Param("t_points", parse_size, 64),
 )
 def _run_hn_check(limits: Limits, *, m_max, N, t_points) -> Report:
+    if (N + 1 + t_points) * m_max > limits.max_tuples:
+        raise ResourceLimitError(
+            f"(N+1+t_points)*m_max = {(N + 1 + t_points) * m_max} kernel coefficients "
+            f"and values exceed {limits.max_tuples}"
+        )
     t_grid = np.linspace(0.0, 1.0, t_points + 1)[1:]
     report = Report(kind="HnCheck")
     report.inputs = {"m_max": m_max, "N": N, "t_points": t_points}
+    orders = range(1, m_max + 1)
+    binom_form = cf.sphere_kernel(t_grid, N, orders)
+    gaps = np.max(np.abs(binom_form - cf.sphere_kernel_derivative(t_grid, N, orders)), axis=1)
     worst = 0.0
-    for m in range(1, m_max + 1):
-        binom_form = cf.sphere_kernel(t_grid, N, m)
-        deriv_form = cf.sphere_kernel_derivative(t_grid, N, m)
-        gap = float(np.max(np.abs(binom_form - deriv_form)))
+    for m, gap in zip(orders, gaps.tolist()):
         worst = max(worst, gap)
         report.add_scalar(f"max |binomial - derivative| at m={m}", gap, f"t in (0,1], N={N}")
     report.add_scalar("worst discrepancy over m", worst)
-    geo = cf.sphere_kernel(t_grid, N, 1)
+    geo = binom_form[0]
     closed = (1.0 - (1.0 - t_grid) ** (N + 1)) / t_grid
     report.add_check("m=1 geometric reduction", float(np.max(np.abs(geo - closed))), 0.0)
     return report

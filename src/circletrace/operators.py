@@ -155,6 +155,8 @@ def commutator_matrix(a: FourierSymbol, n: int) -> TruncatedOperator:
 
 def multiplication_matrix(a: FourierSymbol, basis: BasisIndexMap) -> TruncatedOperator:
     """Multiplication by ``a`` compressed to the given basis: [m, l] = a_{m-l}."""
+    if basis.size == 0:
+        raise ParameterError("multiplication needs a nonempty basis")
     labels = basis.labels
     span = int(labels.max() - labels.min())
     vec = _coeff_lookup(a, -span, span)

@@ -161,6 +161,46 @@ def test_singular_sweep_default_window_stops_at_rank(tmp_path):
     assert slope["normalization"] == "window [16,27)"
 
 
+@pytest.mark.parametrize("n, window", [(32, "[4,8)"), (64, "[8,16)")])
+def test_singular_sweep_default_window_on_small_truncations(n, window, tmp_path):
+    out = tmp_path / "sweep.json"
+    assert main(["singular-sweep", "--N", str(n), "--out", str(out)]) == 0
+    scalars = json.loads(out.read_text())["scalars"]
+    slope = next(s for s in scalars if s["expression"] == "log-log decay slope")
+    assert slope["normalization"] == f"window {window}"
+
+
+def test_kernel_check_at_the_matrix_cap_runs(tmp_path):
+    out = tmp_path / "kernel.json"
+    argv = ["kernel-check", "--a", "z^1", "--b", "z^-1", "--N", "4096"]
+    assert main([*argv, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["inputs"]["grid"] == 32768
+    assert report["checks"][0]["abs_discrepancy"] < 1e-6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel-check", "--a", "z^1", "--b", "z^-1", "--N", "8", "--grid", "2**30"],
+        ["hn", "--m-max", "2", "--N", "2**30"],
+        ["hn", "--m-max", "4", "--N", "8", "--t-points", "2**22"],
+    ],
+)
+def test_cost_over_max_tuples_exits_3(argv, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path / "x.json")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("resource limit: ")
+
+
+def test_hn_float_overflow_exits_2(tmp_path, capsys):
+    # the derivative route divides by m!, beyond float64 from m = 171 on
+    argv = ["hn", "--N", "1", "--m-max", "200", "--t-points", "4"]
+    assert main([*argv, "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "overflow float64" in err[0]
+
+
 def test_nctorus_reports_are_deterministic_and_csv_capable():
     params = {
         "n": 2,

@@ -5,6 +5,7 @@ import pytest
 
 from circletrace.closed_forms import (
     KernelParams,
+    _ramp_polynomial,
     fourier_side_trace,
     integral_trace,
     invert_symbol,
@@ -25,6 +26,7 @@ from circletrace.fourier import (
     circle_grid,
     constant_symbol,
     cosine_symbol,
+    hardy_split,
     mode_symbol,
     sample_to_symbol,
     symbol_eval,
@@ -46,6 +48,20 @@ def double_sum(a, b, n_trunc):
     return sum(
         min(k, n_trunc + 1) * v * b[-k] for k, v in a.coeffs.items() if k >= 1
     )
+
+
+def dense_integral_trace(a, b, params):
+    # the quadrature as a G x G kernel matrix: b_j (z zeta K)(theta_j + theta_l) a_l
+    a_plus, _ = hardy_split(a)
+    _, b_minus = hardy_split(b)
+    n, grid = params.n_trunc, params.grid
+    angles = circle_grid(grid)
+    a_vals = symbol_eval(a_plus, -angles)
+    b_vals = symbol_eval(b_minus, angles)
+    phase = np.exp(1j * np.add.outer(angles, angles))
+    kernel = _ramp_polynomial(params.r * phase, n, switch=1e-4)
+    total = b_vals @ (phase * kernel) @ a_vals / grid**2
+    return complex(-total / math.log(n))
 
 
 class TestFourierSideTrace:
@@ -75,6 +91,26 @@ class TestSymmetricTrace:
         seq = symmetric_fourier_trace(c4, c4, 32, points=[8, 16, 32])
         for m, v in zip(seq.points, seq.values):
             assert v.real == pytest.approx(-2.0 / math.log(m), rel=1e-13)
+
+    def test_matches_loop_over_every_mode(self):
+        # reference: the loop over k = 1..N that the support-driven sum replaces
+        rng = np.random.default_rng(12)
+
+        def symbol(modes):
+            return FourierSymbol({k: complex(*rng.standard_normal(2)) for k in modes})
+
+        a, b = symbol((-9, -4, -1, 0, 2, 3, 7, 30)), symbol((-30, -7, -3, 1, 4, 5, 9))
+        n = 20
+        ks = [
+            k
+            for k in range(1, n + 1)
+            if (k in a.coeffs and -k in b.coeffs) or (-k in a.coeffs and k in b.coeffs)
+        ]
+        terms = np.array([k * (a[k] * b[-k] + a[-k] * b[k]) for k in ks], dtype=complex)
+        cums = np.concatenate([[0j], np.cumsum(terms)])
+        pts = np.arange(2, n + 1)
+        expected = -cums[np.searchsorted(ks, pts, side="right")] / np.log(pts.astype(float))
+        assert np.array_equal(symmetric_fourier_trace(a, b, n).values, expected)
 
     def test_constant_vanishes(self):
         seq = symmetric_fourier_trace(constant_symbol(3.0), constant_symbol(2.0), 16)
@@ -168,6 +204,16 @@ class TestIntegralTrace:
         assert value.real == pytest.approx(-1.0 / math.log(8), rel=1e-12)
         assert abs(value.imag) < 1e-12
 
+    @pytest.mark.parametrize(
+        "n, grid", [(8, 64), (64, 512), (128, 1024), (8, 77), (64, 515), (128, 1031)]
+    )
+    def test_convolution_matches_dense_grid(self, n, grid):
+        rng = np.random.default_rng(n + grid)
+        a, b = random_symbol(rng, min(n, 24)), random_symbol(rng, min(n, 24))
+        params = KernelParams(n, r=1.0 - 1e-6, grid=grid)
+        dense = dense_integral_trace(a, b, params)
+        assert abs(integral_trace(a, b, params) - dense) <= 1e-11 * abs(dense)
+
     def test_rejects_coarse_grid(self):
         with pytest.raises(ParameterError):
             KernelParams(64, grid=128)
@@ -227,9 +273,34 @@ class TestSphereKernel:
                 )
                 assert gap < 1e-10
 
+    def test_stacked_orders_match_one_call_per_order(self):
+        t = np.linspace(0.0, 1.0, 33)[1:]
+        for kernel in (sphere_kernel, sphere_kernel_derivative):
+            for n in (0, 8, 300):
+                rows = kernel(t, n, range(1, 7))
+                assert rows.shape == (6, t.size)
+                for m in range(1, 7):
+                    assert np.array_equal(rows[m - 1], kernel(t, n, m))
+            assert np.array_equal(kernel(0.5, 8, [2, 3]), [kernel(0.5, 8, 2), kernel(0.5, 8, 3)])
+
+    def test_derivative_coefficients_match_polyder(self):
+        from numpy.polynomial import polynomial as npoly
+
+        t = np.linspace(0.0, 1.0, 17)[1:]
+        for m in range(1, 6):
+            coeffs = npoly.polyder(np.ones(40 + m), m - 1)
+            reference = npoly.polyval(1.0 - t, coeffs) / (m * math.factorial(m - 1))
+            assert np.array_equal(sphere_kernel_derivative(t, 40, m), reference)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             sphere_kernel(0.5, 4, 0)
+        with pytest.raises(ParameterError):
+            sphere_kernel(0.5, 4, [1, 0])
+        with pytest.raises(ParameterError):  # C(10149, 149) > 1e308
+            sphere_kernel(0.5, 10_000, 150)
+        with pytest.raises(ParameterError):  # m! > 1e308 from m = 171 on
+            sphere_kernel_derivative(0.5, 1, [2, 172])
         with pytest.raises(ParameterError):
             sphere_kernel_derivative(0.5, -1, 2)
 

@@ -213,6 +213,12 @@ def test_multiplication_block_reproduces_hankel():
     )
 
 
+def test_multiplication_rejects_empty_basis():
+    for rule in OrderingRule:
+        with pytest.raises(ParameterError):
+            multiplication_matrix(mode_symbol(1), BasisIndexMap(rule, 0))
+
+
 def test_compress_and_json_dump():
     op = szego_reflection(2)
     block = compress(op, hardy_basis(2), hardy_basis(2))
