@@ -326,6 +326,8 @@ def _run_weierstrass_trace(limits: Limits, *, gamma, alpha, c, d, N) -> Report:
             "the lacunary trace closed form is exact only at alpha = 1/2; "
             f"got alpha = {alpha}"
         )
+    if N >= 2**63:
+        raise ParameterError(f"N = {N} is beyond the int64 range of the trace points")
     seq = cf.weierstrass_trace(gamma, c, d, N)
     limit, slope = log_extrapolate(np.asarray(seq.values, dtype=float), seq.points)
     report = Report(kind="WeierstrassTrace")
@@ -372,6 +374,8 @@ def _entries_file(path: str):
     replace(_ENTRY.params[3], default="sequence"),
 )
 def _run_measurability(limits: Limits, *, N, policy, entries, label, gamma, c, d) -> Report:
+    if N + 1 > limits.max_tuples:
+        raise ResourceLimitError(f"{N + 1} coefficients per rule exceed {limits.max_tuples}")
     if entries is None:
         entries = [{"gamma": gamma, "c": c, "d": d, "label": label}]
     report = Report(kind="Measurability")
@@ -459,6 +463,9 @@ def _double_sum(a: FourierSymbol, b: FourierSymbol, n_trunc: int) -> complex:
 def _run_winding(limits: Limits, *, a, N) -> Report:
     if 2 * N + 1 > limits.max_matrix:
         raise ResourceLimitError(f"truncation {N} exceeds the matrix cap")
+    grid = 1 << (16 * max(a.n_max, 1) - 1).bit_length()  # the grid invert_symbol samples
+    if grid > limits.max_tuples:
+        raise ResourceLimitError(f"inverse grid of {grid} points exceeds {limits.max_tuples}")
     result = cf.winding_report(a, N)
     report = Report(kind="Winding")
     report.inputs = {"N": N, "band": a.n_max}
@@ -545,6 +552,8 @@ def _run_hn_check(limits: Limits, *, m_max, N, t_points) -> Report:
     _A, _B, Param("N", parse_size, 256), Param("symmetric", bool, False),
 )
 def _run_fourier_trace(limits: Limits, *, a, b, N, symmetric) -> Report:
+    if N > limits.max_tuples:
+        raise ResourceLimitError(f"{N} trace points exceed {limits.max_tuples}")
     seq = (cf.symmetric_fourier_trace if symmetric else cf.fourier_side_trace)(a, b, N)
     report = Report(kind="FourierTrace")
     report.inputs = {"N": N, "symmetric": symmetric}
@@ -599,7 +608,8 @@ def _config_from_json_obj(obj: dict) -> ExperimentConfig:
 
 
 def _execute(config: ExperimentConfig, dump_operator: str | None = None) -> None:
-    report = run_experiment(config)
+    with np.errstate(all="ignore"):  # no warnings: the report refuses any inf or nan
+        report = run_experiment(config)
     if dump_operator:
         params = _KINDS["Winding"].params(config.params)
         obj = operator_to_json_obj(commutator_matrix(params["a"], params["N"]))

@@ -32,24 +32,11 @@ __all__ = [
 ]
 
 
-class _Infinity:
-    """Sentinel for the exponent value infinity in L^p / l^q dispatch."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "INF"
+INF = math.inf  # the exponent value infinity in L^p / l^q dispatch
 
 
-INF = _Infinity()
-
-
-def _normalize_exponent(p) -> float | _Infinity:
-    if p is INF:
-        return INF
+def _normalize_exponent(p) -> float:
     value = float(p)
-    if math.isinf(value):
-        return INF
     if value < 1.0:
         raise ParameterError(f"exponent must be >= 1 or INF, got {p!r}")
     return value
@@ -152,7 +139,7 @@ def holder_norm_star(
 
 def _lp_norm(piece: FourierSymbol, p, grid: np.ndarray) -> float:
     values = np.abs(symbol_eval(piece, grid))
-    if p is INF:
+    if p == INF:
         return float(np.max(values))
     # volume-1 circle: L^p is a plain grid mean
     return float(np.mean(values ** p) ** (1.0 / p))
@@ -179,6 +166,6 @@ def besov_norm(
     if not per_level:
         return 0.0
     arr = np.asarray(per_level)
-    if q is INF:
+    if q == INF:
         return float(np.max(arr))
     return float(np.sum(arr**q) ** (1.0 / q))

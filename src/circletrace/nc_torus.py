@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -104,24 +104,14 @@ def clifford_rep(n: int) -> CliffordRep:
     return CliffordRep(n=n, dim_s=dim, gammas=tuple(frozen), grading=grading)
 
 
-def _as_vector(k, n: int) -> np.ndarray:
-    vec = np.asarray(k, dtype=np.int64)
-    if vec.shape != (n,):
-        raise ParameterError(f"mode vector {k!r} does not have dimension {n}")
-    return vec
-
-
 def dirac_phase(rep: CliffordRep, k) -> np.ndarray:
-    """c(k)/|k| for nonzero k; the zero matrix for k = 0."""
-    vec = _as_vector(k, rep.n)
-    norm = math.sqrt(float(vec @ vec))
-    if norm == 0.0:
-        return np.zeros((rep.dim_s, rep.dim_s), dtype=complex)
-    out = np.zeros((rep.dim_s, rep.dim_s), dtype=complex)
-    for comp, gamma in zip(vec, rep.gammas):
-        if comp:
-            out += (comp / norm) * gamma
-    return out
+    """c(k)/|k| for nonzero k, the zero matrix for k = 0; k of shape (..., n)."""
+    vec = np.asarray(k, dtype=np.int64)
+    if vec.ndim == 0 or vec.shape[-1] != rep.n:
+        raise ParameterError(f"mode vector {k!r} does not have dimension {rep.n}")
+    norm = np.sqrt(np.sum(vec * vec, axis=-1).astype(float))
+    unit = vec / np.where(norm == 0.0, 1.0, norm)[..., None]
+    return np.tensordot(unit, np.stack(rep.gammas), axes=1)
 
 
 @dataclass(frozen=True)
@@ -153,23 +143,26 @@ class AntisymmetricForm:
 
 @dataclass(frozen=True)
 class ModeTuple:
-    """An ordered tuple of lattice modes plus the trailing reference mode."""
+    """An ordered tuple of lattice modes plus the trailing reference mode.
+
+    ``last`` is one mode or a (B, n) stack of reference modes; the suffix sums
+    and the phase product then carry that leading axis of length B.
+    """
 
     vectors: tuple[tuple[int, ...], ...]
-    last: tuple[int, ...]
+    last: tuple[int, ...] | np.ndarray
 
     def __post_init__(self) -> None:
         vecs = tuple(tuple(int(c) for c in v) for v in self.vectors)
-        last = tuple(int(c) for c in self.last)
-        dims = {len(v) for v in vecs} | {len(last)}
-        if len(dims) != 1:
+        last = np.asarray(self.last, dtype=np.int64)
+        if last.ndim not in (1, 2) or {len(v) for v in vecs} - {last.shape[-1]}:
             raise ParameterError("all mode vectors must share one dimension")
         object.__setattr__(self, "vectors", vecs)
-        object.__setattr__(self, "last", last)
+        object.__setattr__(self, "last", tuple(last.tolist()) if last.ndim == 1 else last)
 
     @property
     def dim(self) -> int:
-        return len(self.last)
+        return np.shape(self.last)[-1]
 
     @property
     def zero_sum(self) -> bool:
@@ -187,7 +180,8 @@ def phase_product_matrix(rep: CliffordRep, modes: ModeTuple) -> np.ndarray:
     """Ordered product of Dirac-phase differences along the suffix sums.
 
     Factor j is F(s_j) - F(s_{j+1}) where s_j runs over the suffix sums of
-    the mode tuple; the product is taken left to right.
+    the mode tuple; the product is taken left to right.  A stack of B
+    reference modes gives a (B, dim_s, dim_s) stack of products.
     """
     if modes.dim != rep.n:
         raise ParameterError("mode tuple dimension does not match the representation")
@@ -215,6 +209,8 @@ def graded_trace_2d(modes: ModeTuple) -> float:
     the suffix sums; vanishing suffix sums (where the Dirac phase is the zero
     matrix) get their own reduced branches.
     """
+    if np.ndim(modes.last) != 1:
+        raise ParameterError("the closed form takes one reference mode, not a stack")
     if modes.dim != 2:
         raise ParameterError("closed form is specific to two dimensions")
     if len(modes.vectors) != 3:
@@ -247,6 +243,8 @@ def twist_phase(modes: ModeTuple, form: AntisymmetricForm) -> complex:
     exp(i sum_{j<l} theta(k_j, k_l)): 1 for an adjacent inverse pair, the
     group-commutator phase for longer tuples.
     """
+    if np.ndim(modes.last) != 1:
+        raise ParameterError("the twist phase takes one reference mode, not a stack")
     if form.n != modes.dim:
         raise ParameterError("twist form dimension does not match the modes")
     sums = modes.suffix_sums()
@@ -289,69 +287,57 @@ class LatticeSymbol:
         return sorted(self.coeffs)
 
 
-def grading_dirac_coefficients(rep: CliffordRep) -> Callable[[tuple[int, ...]], np.ndarray]:
+# The T maps take one mode (n,) or a stack (..., n) to (..., dim_s, dim_s) matrices.
+
+
+def grading_dirac_coefficients(rep: CliffordRep) -> Callable[[np.ndarray], np.ndarray]:
     if rep.grading is None:
         raise ParameterError("grading coefficients need an even-dimensional torus")
-    grading = rep.grading
-
-    def t_map(k: tuple[int, ...]) -> np.ndarray:
-        return grading @ dirac_phase(rep, k)
-
-    return t_map
+    return lambda k: rep.grading @ dirac_phase(rep, k)
 
 
-def dirac_coefficients(rep: CliffordRep) -> Callable[[tuple[int, ...]], np.ndarray]:
-    def t_map(k: tuple[int, ...]) -> np.ndarray:
-        return dirac_phase(rep, k)
-
-    return t_map
+def dirac_coefficients(rep: CliffordRep) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda k: dirac_phase(rep, k)
 
 
-def identity_coefficients(rep: CliffordRep) -> Callable[[tuple[int, ...]], np.ndarray]:
+def identity_coefficients(rep: CliffordRep) -> Callable[[np.ndarray], np.ndarray]:
     eye = np.eye(rep.dim_s, dtype=complex)
-
-    def t_map(k: tuple[int, ...]) -> np.ndarray:
-        return eye
-
-    return t_map
+    return lambda k: np.broadcast_to(eye, np.shape(k)[:-1] + eye.shape)
 
 
-def lattice_ball(n: int, n_trunc: int) -> list[tuple[int, ...]]:
+def _iroot(x: int, n: int) -> int:
+    """Largest r >= 0 with r**n <= x, by integer Newton steps down from above."""
+    r = 1 << -(-x.bit_length() // n)
+    while r**n > x:
+        r = ((n - 1) * r + x // r ** (n - 1)) // n
+    return r
+
+
+def lattice_ball(n: int, n_trunc: int) -> np.ndarray:
     """Lattice vectors with |k| <= n_trunc^(1/n), boundary ties included.
 
-    The comparison (|k|^2)^n <= n_trunc^2 is carried out in exact integer
-    arithmetic, ordered by (squared norm, lexicographic) for determinism.
+    Returns a (B, n) int64 array ordered by (squared norm, lexicographic).
+    The test |k|^2 <= q_max, q_max the integer n-th root of n_trunc^2, is
+    the exact integer comparison (|k|^2)^n <= n_trunc^2.
     """
     if n_trunc < 1:
         raise ParameterError("truncation must be >= 1")
-    radius = int(math.floor(n_trunc ** (1.0 / n))) + 1
-    rhs = n_trunc * n_trunc
-    points = []
-    for vec in itertools.product(range(-radius, radius + 1), repeat=n):
-        q = sum(c * c for c in vec)
-        if q**n <= rhs:
-            points.append((q, vec))
-    points.sort()
-    return [vec for _, vec in points]
+    radius = _iroot(n_trunc, n)
+    squares = np.square(np.arange(-radius, radius + 1, dtype=np.int64))
+    q = sum(squares.reshape((-1,) + (1,) * (n - 1 - i)) for i in range(n))
+    inside = np.flatnonzero(q <= _iroot(n_trunc * n_trunc, n))  # C order: lexicographic
+    inside = inside[np.argsort(q.ravel()[inside], kind="stable")]
+    return np.stack(np.unravel_index(inside, q.shape), axis=-1) - radius
 
 
-def _normalize_t_map(t_coefficients, rep: CliffordRep):
-    if callable(t_coefficients):
-        return t_coefficients
-    if isinstance(t_coefficients, Mapping):
-        table = {tuple(int(c) for c in k): np.asarray(v, dtype=complex) for k, v in t_coefficients.items()}
-        zero = np.zeros((rep.dim_s, rep.dim_s), dtype=complex)
-
-        def t_map(k: tuple[int, ...]) -> np.ndarray:
-            return table.get(tuple(k), zero)
-
-        return t_map
-    raise ParameterError("T coefficients must be a callable or a mapping")
+# Matrix entries in one block's phase stack: a block of the ball holds
+# _BLOCK_ENTRIES // dim_s^2 reference modes, so memory does not grow with N.
+_BLOCK_ENTRIES = 1 << 18
 
 
 def torus_trace_partial(
     rep: CliffordRep,
-    t_coefficients,
+    t_coefficients: Callable[[np.ndarray], np.ndarray],
     symbols: Sequence[LatticeSymbol],
     n_trunc: int,
     twist: AntisymmetricForm | None = None,
@@ -367,6 +353,8 @@ def torus_trace_partial(
     three or more commutator factors the output depends on the twist form
     through the symplectic-area factors of the zero-sum tuples (see the
     module docstring); passing ``twist=None`` computes the untwisted sums.
+    The ball is evaluated in blocks of reference modes, one (B, dim_s, dim_s)
+    phase-product stack per zero-sum tuple and block.
     """
     from .closed_forms import TraceSequence  # local import avoids a cycle
 
@@ -378,7 +366,6 @@ def torus_trace_partial(
     form = twist if twist is not None else AntisymmetricForm.zero(rep.n)
     if form.n != rep.n:
         raise ParameterError("twist form dimension does not match the representation")
-    t_map = _normalize_t_map(t_coefficients, rep)
 
     supports = [sym.support() for sym in symbols]
     total = 1
@@ -388,35 +375,37 @@ def torus_trace_partial(
         raise ResourceLimitError(
             f"support enumeration of {total} tuples exceeds the cap {max_tuples}"
         )
-    zero_sum_tuples = []
+    cube = (2 * _iroot(max(n_trunc, 0), rep.n) + 1) ** rep.n
+    if cube > max_tuples:
+        raise ResourceLimitError(
+            f"lattice ball of {cube} candidate points exceeds the cap {max_tuples}"
+        )
+    # theta(sum of a zero-sum tuple, K) = 0, so a tuple's twist phase is the
+    # same for every reference mode K: take it once, at K = 0
+    origin = (0,) * rep.n
+    weighted = []
     for combo in itertools.product(*supports):
         if all(sum(v[i] for v in combo) == 0 for i in range(rep.n)):
             coeff = 1.0 + 0j
             for sym, v in zip(symbols, combo):
                 coeff *= sym.coeffs[v]
-            zero_sum_tuples.append((combo, coeff))
+            weighted.append((combo, coeff * twist_phase(ModeTuple(combo, origin), form)))
 
     ball = lattice_ball(rep.n, n_trunc)
-    shell_values: list[tuple[int, complex]] = []
-    for k_last in ball:
-        contribution = 0j
-        t_matrix = t_map(k_last)
-        for combo, coeff in zero_sum_tuples:
-            modes = ModeTuple(combo, k_last)
-            trace = complex(np.trace(t_matrix @ phase_product_matrix(rep, modes)))
-            if trace != 0j:
-                contribution += coeff * twist_phase(modes, form) * trace
-        q = sum(c * c for c in k_last)
-        shell_values.append((q, contribution))
+    contributions = np.zeros(len(ball), dtype=complex)
+    block = max(1, _BLOCK_ENTRIES // rep.dim_s**2)
+    for start in range(0, len(ball), block):
+        k_last = ball[start : start + block]
+        t_matrices = t_coefficients(k_last)
+        acc = contributions[start : start + block]
+        for combo, weight in weighted:
+            product = phase_product_matrix(rep, ModeTuple(combo, k_last))
+            acc += weight * np.einsum("bij,bji->b", t_matrices, product)
 
+    # N's ball is the leading run of points with (|k|^2)^n <= N^2; both sides
+    # stay below the candidate count squared, far inside int64
     points = np.arange(1, n_trunc + 1, dtype=np.int64)
-    values = np.zeros(n_trunc, dtype=complex)
-    running = 0j
-    idx = 0
-    for i, big_n in enumerate(points):
-        rhs = int(big_n) * int(big_n)
-        while idx < len(shell_values) and shell_values[idx][0] ** rep.n <= rhs:
-            running += shell_values[idx][1]
-            idx += 1
-        values[i] = running / math.log(2 + int(big_n))
+    norms = np.sum(ball * ball, axis=1) ** rep.n
+    reach = np.searchsorted(norms, points * points, side="right")
+    values = np.cumsum(contributions, out=contributions)[reach - 1] / np.log(2.0 + points)
     return TraceSequence(points, values, "tr(T [F,a_1]...[F,a_k])", "1/log(2+N)")

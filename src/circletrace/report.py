@@ -23,6 +23,12 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _require_finite(expression: str, values) -> None:
+    """JSON has no inf or nan, so a report refuses them where numbers enter it."""
+    if not np.isfinite(values).all():
+        raise ParameterError(f"{expression!r} is not finite; a JSON report cannot hold it")
+
+
 @dataclass
 class Report:
     kind: str
@@ -33,6 +39,7 @@ class Report:
     notes: list = field(default_factory=list)
 
     def add_scalar(self, expression: str, value, normalization: str = "", **extra) -> None:
+        _require_finite(expression, value)
         entry = {"expression": expression, "value": value}
         if normalization:
             entry["normalization"] = normalization
@@ -42,23 +49,27 @@ class Report:
     def add_sequence(
         self, name: str, expression: str, normalization: str, points, values
     ) -> None:
+        values = np.asarray(values)
+        _require_finite(expression, values)
         self.sequences.append(
             {
                 "name": name,
                 "expression": expression,
                 "normalization": normalization,
                 "points": list(np.asarray(points).tolist()),
-                "values": np.asarray(values).tolist(),
+                "values": values.tolist(),
             }
         )
 
     def add_check(self, name: str, lhs, rhs) -> None:
+        discrepancy = abs(complex(lhs) - complex(rhs))
+        _require_finite(name, [lhs, rhs, discrepancy])
         self.checks.append(
             {
                 "name": name,
                 "lhs": lhs,
                 "rhs": rhs,
-                "abs_discrepancy": abs(complex(lhs) - complex(rhs)),
+                "abs_discrepancy": discrepancy,
             }
         )
 

@@ -4,7 +4,12 @@ import io
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
 import tempfile
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +204,61 @@ def test_hn_float_overflow_exits_2(tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path / "x.json")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "overflow float64" in err[0]
+
+
+def test_report_refuses_non_finite_numbers():
+    report = Report(kind="x")
+    for add in (
+        lambda: report.add_scalar("s", math.inf),
+        lambda: report.add_scalar("s", complex(1.0, math.nan)),
+        lambda: report.add_check("c", 1.0, -math.inf),
+        lambda: report.add_sequence("q", "e", "none", [1, 2], [1.0, math.nan]),
+    ):
+        with pytest.raises(ParameterError):
+            add()
+    assert report.scalars == report.checks == report.sequences == []
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+# Commands whose naive cost is terabytes, an int64 overflow, a hang or an
+# inf in the report; each must be refused before it allocates.
+OVERSIZED = {
+    "hn-inf": (["hn", "--N", "2000", "--m-max", "170", "--t-points", "4"], 2),
+    "measurability": (["measurability", "--rule", "block-indicator:2", "--N", "2**40"], 3),
+    "fourier-trace": (["fourier-trace", "--a", "z^1", "--b", "z^-1", "--N", "2**40"], 3),
+    "winding": (["winding", "--a", "z^1000000000", "--N", "8"], 3),
+    "weierstrass-trace": (["weierstrass-trace", "--gamma", "2", "--N", "2**200"], 2),
+    "nctorus": (["nctorus", "--config", "torus.json"], 3),
+}
+TORUS_2_30 = {"n": 2, "N": "2**30", "symbols": [{"pair": [1, 0]}, {"pair": [0, 1]}]}
+
+
+@pytest.mark.parametrize("argv, code", OVERSIZED.values(), ids=OVERSIZED)
+def test_oversized_commands_exit_with_one_line(argv, code, tmp_path):
+    (tmp_path / "torus.json").write_text(json.dumps(TORUS_2_30))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "circletrace.cli", *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (code, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "Traceback" not in proc.stderr
+    assert lines[0].startswith("parameter error: " if code == 2 else "resource limit: ")
+
+
+def test_nctorus_oversized_ball_exits_3_at_once(tmp_path, capsys):
+    config = tmp_path / "torus.json"
+    config.write_text(json.dumps(TORUS_2_30))
+    start = time.perf_counter()
+    assert main(["nctorus", "--config", str(config)]) == 3
+    assert time.perf_counter() - start < 2.0
+    assert "candidate points" in _stderr_line(capsys)
 
 
 def test_nctorus_reports_are_deterministic_and_csv_capable():

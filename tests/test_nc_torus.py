@@ -7,11 +7,15 @@ trace from explicit 2x2 products, so closed form and matrices stay
 independent checks of each other.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from circletrace import nc_torus
 from circletrace.errors import ParameterError, ResourceLimitError
 from circletrace.nc_torus import (
     AntisymmetricForm,
@@ -186,7 +190,7 @@ def test_antisymmetric_form_validation():
 
 
 def test_lattice_ball_includes_boundary_ties():
-    ball = lattice_ball(2, 25)
+    ball = [tuple(row) for row in lattice_ball(2, 25).tolist()]
     assert (3, 4) in ball and (5, 0) in ball  # |k| = 5 = 25^(1/2) exactly
     assert (5, 1) not in ball
     assert ball[0] == (0, 0)
@@ -268,10 +272,152 @@ def test_torus_trace_support_cap():
         torus_trace_partial(rep, identity_coefficients(rep), [big] * 3, 8, max_tuples=1000)
 
 
-def test_t_map_from_mapping():
-    rep = clifford_rep(2)
-    sym = LatticeSymbol.symmetric_pair((1, 0))
-    table = {k: np.eye(2, dtype=complex) for k in lattice_ball(2, 9)}
-    seq_map = torus_trace_partial(rep, table, [sym, sym], 9)
-    seq_callable = torus_trace_partial(rep, identity_coefficients(rep), [sym, sym], 9)
-    assert np.allclose(seq_map.values, seq_callable.values, atol=1e-14)
+def brute_force_ball(n, n_trunc):
+    radius = 0
+    while (radius + 1) ** n <= n_trunc:
+        radius += 1
+    ball = [
+        v
+        for v in itertools.product(range(-radius, radius + 1), repeat=n)
+        if sum(c * c for c in v) ** n <= n_trunc**2
+    ]
+    return sorted(ball, key=lambda v: (sum(c * c for c in v), v))
+
+
+# (n, N); a boundary tie (|k|^2)^n = N^2 occurs at (1, 5), (2, 25), (3, 8), (4, 9),
+# (5, 32), (6, 27), (7, 128) and (8, 16)
+BALL_CASES = [
+    (1, 1), (1, 5), (1, 40), (2, 1), (2, 25), (2, 50), (3, 8), (3, 100), (4, 9),
+    (4, 100), (5, 32), (6, 27), (7, 128), (8, 9), (8, 16),
+]
+
+
+@pytest.mark.parametrize("n, n_trunc", BALL_CASES)
+def test_lattice_ball_matches_brute_force(n, n_trunc):
+    ball = lattice_ball(n, n_trunc)
+    assert ball.dtype == np.int64 and ball.shape[1:] == (n,)
+    assert ball.tolist() == [list(v) for v in brute_force_ball(n, n_trunc)]
+
+
+def per_point_trace_partial(rep, t_map, symbols, n_trunc, form):
+    """The per-point algorithm: one reference mode and one tuple at a time."""
+    tuples = []
+    for combo in itertools.product(*(sym.support() for sym in symbols)):
+        if not any(sum(v[i] for v in combo) for i in range(rep.n)):
+            coeff = 1.0 + 0j
+            for sym, v in zip(symbols, combo):
+                coeff *= sym.coeffs[v]
+            tuples.append((combo, coeff))
+    shells = []
+    for k_last in brute_force_ball(rep.n, n_trunc):
+        t_matrix = t_map(k_last)
+        total = 0j
+        for combo, coeff in tuples:
+            modes = ModeTuple(combo, k_last)
+            trace = np.trace(t_matrix @ phase_product_matrix(rep, modes))
+            total += coeff * twist_phase(modes, form) * trace
+        shells.append((sum(c * c for c in k_last), total))
+    values, running, idx = [], 0j, 0
+    for big_n in range(1, n_trunc + 1):
+        while idx < len(shells) and shells[idx][0] ** rep.n <= big_n**2:
+            running += shells[idx][1]
+            idx += 1
+        values.append(running / math.log(2 + big_n))
+    return np.asarray(values)
+
+
+def unit(n, i):
+    return tuple(int(j == i) for j in range(n))
+
+
+def oracle_symbols(n, rng):
+    """Pairs along e1, e2, e1 + e2 (and the commutator tuple e1, e2, -e1, -e2)."""
+    e1, e2 = unit(n, 0), unit(n, 1 % n)
+    e12 = tuple(a + b for a, b in zip(e1, e2))
+    if n == 1:
+        e2, e12 = (2,), (3,)
+
+    def pair(v):
+        amp = complex(*rng.standard_normal(2))
+        return LatticeSymbol(n, {v: amp, tuple(-c for c in v): amp.conjugate()})
+
+    return [
+        [pair(e1), pair(e1)],  # adjacent inverse pairs: the suffix sum at K = +-e1 vanishes
+        [pair(e1), pair(e2), pair(e12)],
+        [pair(e1), pair(e2), pair(e1), pair(e2)],
+    ]
+
+
+@pytest.mark.parametrize("n, n_trunc", [(1, 25), (2, 20), (3, 20), (4, 9)])
+def test_batched_trace_matches_per_point_oracle(n, n_trunc, monkeypatch):
+    monkeypatch.setattr(nc_torus, "_BLOCK_ENTRIES", 37)  # many blocks, a ragged last one
+    rep = clifford_rep(n)
+    rng = np.random.default_rng(10 + n)
+    t_maps = [dirac_coefficients(rep), identity_coefficients(rep)]
+    if n % 2 == 0:
+        t_maps.append(grading_dirac_coefficients(rep))
+    upper = np.triu(rng.standard_normal((n, n)), k=1)
+    forms = [AntisymmetricForm.zero(n), AntisymmetricForm(upper - upper.T)]
+    for symbols in oracle_symbols(n, rng):
+        for t_map in t_maps:
+            for form in forms:
+                batched = torus_trace_partial(rep, t_map, symbols, n_trunc, form).values
+                expected = per_point_trace_partial(rep, t_map, symbols, n_trunc, form)
+                scale = np.max(np.abs(expected))
+                if scale < 1e-12:  # vanishes up to the roundoff of its O(1) terms
+                    scale = 1.0
+                assert np.max(np.abs(batched - expected)) <= 1e-13 * scale
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=4),
+            st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+            st.lists(st.floats(-3, 3), min_size=n * n, max_size=n * n),
+        )
+    )
+)
+def test_zero_sum_twist_phase_is_independent_of_reference_mode(case):
+    head, k_last, entries = case
+    n = len(k_last)
+    closing = tuple(-sum(v[i] for v in head) for i in range(n))
+    vectors = [tuple(v) for v in head] + [closing]
+    upper = np.triu(np.reshape(entries, (n, n)), k=1)
+    form = AntisymmetricForm(upper - upper.T)
+    at_origin = twist_phase(ModeTuple(vectors, (0,) * n), form)
+    assert abs(twist_phase(ModeTuple(vectors, k_last), form) - at_origin) < 1e-12
+
+
+def test_single_mode_helpers_reject_a_stack():
+    stack = np.array([[1, 2], [3, 4]])  # B = n = 2, which a pairing would not notice
+    form = AntisymmetricForm(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(ParameterError):
+        twist_phase(ModeTuple(((1, 0), (-1, 0)), stack), form)
+    with pytest.raises(ParameterError):
+        graded_trace_2d(ModeTuple(((1, 0), (0, 1), (-1, -1)), stack))
+
+
+def test_stacked_helpers_match_single_modes():
+    rep = clifford_rep(4)
+    stack = np.random.default_rng(6).integers(-3, 4, size=(9, 4))
+    stack[0] = 0
+    combo = ((1, 0, 0, 0), (0, 1, 0, 0), (-1, -1, 0, 0))
+    products = phase_product_matrix(rep, ModeTuple(combo, stack))
+    for t_map in (
+        grading_dirac_coefficients(rep), dirac_coefficients(rep), identity_coefficients(rep)
+    ):
+        assert t_map(stack).shape == (9, 4, 4)
+        for k, t_matrix in zip(stack, t_map(stack)):
+            assert np.array_equal(t_matrix, t_map(k))
+    for k, product in zip(stack, products):
+        assert np.array_equal(product, phase_product_matrix(rep, ModeTuple(combo, k)))
+
+
+@pytest.mark.parametrize("n, n_trunc", [(2, 2**30), (8, 2**40), (1, 10**400)])
+def test_torus_trace_ball_cap(n, n_trunc):
+    rep = clifford_rep(n)
+    sym = LatticeSymbol.symmetric_pair(unit(n, 0))
+    with pytest.raises(ResourceLimitError):
+        torus_trace_partial(rep, dirac_coefficients(rep), [sym, sym], n_trunc)
