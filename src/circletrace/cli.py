@@ -461,8 +461,8 @@ def _double_sum(a: FourierSymbol, b: FourierSymbol, n_trunc: int) -> complex:
 
 @_kind("Winding", "winding", "winding number trace", _A, Param("N", parse_size, 64))
 def _run_winding(limits: Limits, *, a, N) -> Report:
-    if 2 * N + 1 > limits.max_matrix:
-        raise ResourceLimitError(f"truncation {N} exceeds the matrix cap")
+    if N >= 2**63:
+        raise ParameterError(f"N = {N} is beyond the int64 range of the safe band")
     grid = 1 << (16 * max(a.n_max, 1) - 1).bit_length()  # the grid invert_symbol samples
     if grid > limits.max_tuples:
         raise ResourceLimitError(f"inverse grid of {grid} points exceeds {limits.max_tuples}")
@@ -534,8 +534,10 @@ def _run_hn_check(limits: Limits, *, m_max, N, t_points) -> Report:
     report = Report(kind="HnCheck")
     report.inputs = {"m_max": m_max, "N": N, "t_points": t_points}
     orders = range(1, m_max + 1)
+    # the derivative route first: it refuses products beyond float64 before any work
+    derivative_form = cf.sphere_kernel_derivative(t_grid, N, orders)
     binom_form = cf.sphere_kernel(t_grid, N, orders)
-    gaps = np.max(np.abs(binom_form - cf.sphere_kernel_derivative(t_grid, N, orders)), axis=1)
+    gaps = np.max(np.abs(binom_form - derivative_form), axis=1)
     worst = 0.0
     for m, gap in zip(orders, gaps.tolist()):
         worst = max(worst, gap)
@@ -608,10 +610,16 @@ def _config_from_json_obj(obj: dict) -> ExperimentConfig:
 
 
 def _execute(config: ExperimentConfig, dump_operator: str | None = None) -> None:
+    if dump_operator:  # the only matrix a Winding run builds
+        params = _KINDS["Winding"].params(config.params)
+        if 2 * params["N"] + 1 > config.limits.max_matrix:
+            raise ResourceLimitError(
+                f"dumped operator size {2 * params['N'] + 1} exceeds the matrix cap "
+                f"{config.limits.max_matrix}"
+            )
     with np.errstate(all="ignore"):  # no warnings: the report refuses any inf or nan
         report = run_experiment(config)
     if dump_operator:
-        params = _KINDS["Winding"].params(config.params)
         obj = operator_to_json_obj(commutator_matrix(params["a"], params["N"]))
         _write_file(dump_operator, json.dumps(obj).encode())
     _write_output(emit_report(report, config.out_format), config.out_path)

@@ -13,6 +13,7 @@ lacunary scales (powers of gamma up to 2^40 and beyond) costs nothing.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -28,7 +29,6 @@ from .fourier import (
     sample_to_symbol,
     symbol_eval,
 )
-from .operators import commutator_matrix
 
 __all__ = [
     "TraceSequence",
@@ -295,6 +295,9 @@ def integral_trace(a: FourierSymbol, b: FourierSymbol, params: KernelParams) -> 
     return complex(-total / math.log(n))
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def _sphere_orders(n_trunc: int, m) -> list[int]:
     ms = np.atleast_1d(np.asarray(m, dtype=np.int64))
     if ms.ndim != 1 or ms.size == 0 or ms.min() < 1 or n_trunc < 0:
@@ -339,9 +342,15 @@ def sphere_kernel_derivative(t, n_trunc: int, m):
 
     Formally differentiates the geometric polynomial sum_{k=0}^{N+m-1} u^k
     (m-1) times, evaluates at u = 1-t and divides by m * (m-1)!.  ``m`` is
-    an int or a 1-d sequence of ints, as for ``sphere_kernel``.
+    an int or a 1-d sequence of ints, as for ``sphere_kernel``.  The largest
+    product formed, (N+m-1)!/N!, is bounded against float64 before any work.
     """
     ms = _sphere_orders(n_trunc, m)
+    if math.lgamma(n_trunc + max(ms)) - math.lgamma(n_trunc + 1) > _LOG_FLOAT_MAX:
+        raise ParameterError(
+            f"derivative products (N+m-1)!/N! overflow float64 at N = {n_trunc}, "
+            f"m up to {max(ms)}"
+        )
     scales = _as_floats([mi * math.factorial(mi - 1) for mi in ms], n_trunc, ms)
     # Pass p turns d_k into d_{k+1} * (k+1), the products npoly.polyder forms;
     # the first N+1 entries after m-1 passes do not depend on the length beyond.
@@ -390,15 +399,28 @@ class WindingReport:
 
 
 def winding_report(a: FourierSymbol, n_trunc: int) -> WindingReport:
-    """tr((2P-1) [P,a] [P,a^-1]) at truncation N with diagnostic metadata."""
+    """tr((2P-1) [P,a] [P,a^-1]) at truncation N with diagnostic metadata.
+
+    On modes -N..N, [P,a] is nonzero only between a mode m >= 0 and a mode
+    l < 0, and the pairs at distance |m - l| = k number min(k, 2N+1-k).  So
+    with b = a^-1 the trace is the coefficient sum
+
+        sum_{1<=|k|<=2N} -sgn(k) min(|k|, 2N+1-|k|) a_k b_{-k},
+
+    taken over the support of ``a`` with no matrix built.  It agrees with
+    the dense trace of the two truncated commutators to 1e-13 relative
+    (tested).
+    """
     if n_trunc < 1:
         raise ParameterError("truncation size must be >= 1")
     inverse, residual = invert_symbol(a)
-    ca = commutator_matrix(a, n_trunc)
-    ci = commutator_matrix(inverse, n_trunc)
-    # 2P - 1 is diagonal: +1 on modes >= 0, -1 below
-    refl = np.where(ca.row_basis.labels >= 0, 1.0, -1.0)
-    tr = complex(np.einsum("i,ij,ji->", refl, ca.matrix, ci.matrix))
+    size = 2 * n_trunc + 1
+    terms = [
+        -math.copysign(min(abs(k), size - abs(k)), k) * v * inverse[-k]
+        for k, v in a.coeffs.items()
+        if 1 <= abs(k) < size
+    ]
+    tr = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     safe_band = n_trunc - (a.n_max + inverse.n_max)
     return WindingReport(
         value=float(tr.real),

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BasisMismatchError, ParameterError
 from .fourier import FourierSymbol
@@ -100,7 +101,9 @@ class TruncatedOperator:
                 f"matrix shape {mat.shape} does not match bases "
                 f"({self.row_basis.size}, {self.col_basis.size})"
             )
-        if not np.all(np.isfinite(mat)):
+        # min and max carry any nan and reach any inf, with no entry-sized mask
+        parts = mat.ravel(order="K").view(float)  # real and imaginary parts, in place
+        if parts.size and not np.isfinite([parts.min(), parts.max()]).all():
             raise ParameterError("operator entries must be finite")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -124,33 +127,56 @@ def _coeff_lookup(a: FourierSymbol, lo: int, hi: int) -> np.ndarray:
     return out
 
 
+def _toeplitz(vec: np.ndarray) -> np.ndarray:
+    """Read-only (s+1) x (s+1) view T[r, c] = vec[r - c + s] of 2s+1 entries.
+
+    With vec[k + s] = a_k, T[r, c] = a_{r-c} is multiplication by ``a`` on
+    s+1 consecutive modes in increasing order, without a copy.
+    """
+    return sliding_window_view(vec, (vec.size + 1) // 2)[:, ::-1]
+
+
 def hankel_matrix(a: FourierSymbol, n: int) -> TruncatedOperator:
     """N x N block of P a (1-P): entry [l, i] = a_{l+i+1}.
 
     Rows run over holomorphic modes 0..N-1, columns over antiholomorphic
     modes -1..-N; only the analytic part of the symbol contributes, and the
     matrix is constant along anti-diagonals.  It is real when the analytic
-    coefficients are.
+    coefficients are.  The block is a strided view of the coefficients,
+    copied once into the operator.
     """
     if n < 1:
         raise ParameterError("truncation size must be >= 1")
     vec = _coeff_lookup(a, 0, 2 * n)
     if not vec.imag.any():
         vec = vec.real
-    idx = np.add.outer(np.arange(n), np.arange(n)) + 1
-    return TruncatedOperator(vec[idx], hardy_basis(n), antiholomorphic_basis(n))
+    return TruncatedOperator(
+        sliding_window_view(vec[1 : 2 * n], n), hardy_basis(n), antiholomorphic_basis(n)
+    )
 
 
 def commutator_matrix(a: FourierSymbol, n: int) -> TruncatedOperator:
-    """[P, a] on modes -n..n: entry [m, l] = (1_{m>=0} - 1_{l>=0}) a_{m-l}."""
+    """[P, a] on modes -n..n: entry [m, l] = (1_{m>=0} - 1_{l>=0}) a_{m-l}.
+
+    Filled one sign block at a time from Toeplitz views of the scaled
+    coefficient vector, so each entry is the complex product sign * a_{m-l}
+    (signed zeros included) with no mode-difference, mask or sign matrix.
+    """
     if n < 1:
         raise ParameterError("truncation size must be >= 1")
     basis = full_basis(n)
-    labels = basis.labels
     vec = _coeff_lookup(a, -2 * n, 2 * n)
-    diff = labels[:, None] - labels[None, :]
-    sign = (labels[:, None] >= 0).astype(float) - (labels[None, :] >= 0).astype(float)
-    return TruncatedOperator(sign * vec[diff + 2 * n], basis, basis)
+    # (positions in the full basis, indices into the natural order -n..n)
+    groups = (
+        (np.r_[0, 1 : 2 * n : 2], slice(n, None)),  # modes 0, 1, ..., n
+        (np.arange(2, 2 * n + 1, 2), slice(n - 1, None, -1)),  # modes -1, ..., -n
+    )
+    out = np.empty((basis.size, basis.size), dtype=complex)
+    for i, (rows, row_modes) in enumerate(groups):
+        for j, (cols, col_modes) in enumerate(groups):
+            sign = float(j - i)  # 1_{m>=0} - 1_{l>=0}
+            out[np.ix_(rows, cols)] = _toeplitz(sign * vec)[row_modes, col_modes]
+    return TruncatedOperator(out, basis, basis)
 
 
 def multiplication_matrix(a: FourierSymbol, basis: BasisIndexMap) -> TruncatedOperator:
@@ -158,10 +184,12 @@ def multiplication_matrix(a: FourierSymbol, basis: BasisIndexMap) -> TruncatedOp
     if basis.size == 0:
         raise ParameterError("multiplication needs a nonempty basis")
     labels = basis.labels
-    span = int(labels.max() - labels.min())
-    vec = _coeff_lookup(a, -span, span)
-    diff = labels[:, None] - labels[None, :]
-    return TruncatedOperator(vec[diff + span], basis, basis)
+    lo = int(labels.min())
+    span = int(labels.max()) - lo
+    idx = labels - lo
+    return TruncatedOperator(
+        _toeplitz(_coeff_lookup(a, -span, span))[np.ix_(idx, idx)], basis, basis
+    )
 
 
 def szego_projection(n: int) -> TruncatedOperator:

@@ -206,6 +206,14 @@ def test_hn_float_overflow_exits_2(tmp_path, capsys):
     assert len(err) == 1 and "overflow float64" in err[0]
 
 
+def test_hn_derivative_overflow_exits_2_before_any_route(tmp_path, capsys):
+    argv = ["hn", "--N", "2000", "--m-max", "170", "--t-points", "4"]
+    start = time.perf_counter()
+    assert main([*argv, "--out", str(tmp_path / "x.json")]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert "(N+m-1)!/N! overflow float64" in _stderr_line(capsys)
+
+
 def test_report_refuses_non_finite_numbers():
     report = Report(kind="x")
     for add in (
@@ -230,6 +238,7 @@ OVERSIZED = {
     "measurability": (["measurability", "--rule", "block-indicator:2", "--N", "2**40"], 3),
     "fourier-trace": (["fourier-trace", "--a", "z^1", "--b", "z^-1", "--N", "2**40"], 3),
     "winding": (["winding", "--a", "z^1000000000", "--N", "8"], 3),
+    "winding-N": (["winding", "--a", "z^3", "--N", "2**200"], 2),
     "weierstrass-trace": (["weierstrass-trace", "--gamma", "2", "--N", "2**200"], 2),
     "nctorus": (["nctorus", "--config", "torus.json"], 3),
 }
@@ -336,6 +345,20 @@ def test_main_weierstrass_csv(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "series,point,value_re,value_im"
     assert any(line.startswith("partial_sums,1048576,") for line in lines)
+
+
+def test_winding_builds_no_matrix_so_the_cap_guards_only_the_dump(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    start = time.perf_counter()
+    assert main(["winding", "--a", "z^3", "--N", "10**6", "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 1.0
+    values = {s["expression"]: s["value"] for s in json.loads(out.read_text())["scalars"]}
+    assert values["tr((2P-1)[P,a][P,a^-1])"] == -3
+    dump = tmp_path / "op.json"
+    argv = ["winding", "--a", "z^3", "--N", "10**6", "--dump-operator", str(dump)]
+    assert main([*argv, "--out", str(tmp_path / "d.json")]) == 3
+    assert "matrix cap" in _stderr_line(capsys)
+    assert not dump.exists() and not (tmp_path / "d.json").exists()
 
 
 def test_main_winding_dump_operator(tmp_path):

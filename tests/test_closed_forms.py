@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from circletrace.fourier import (
     symbol_eval,
     weierstrass_symbol,
 )
+from circletrace.operators import commutator_matrix
 
 
 def random_symbol(rng, degree):
@@ -227,7 +229,6 @@ def test_three_routes_agree_on_one_pair():
     # are three independent realizations of the same truncated quantity
     from circletrace.dixmier import residue_sequence
     from circletrace.operators import (
-        commutator_matrix,
         hardy_compress,
         operator_product,
         szego_projection,
@@ -283,6 +284,16 @@ class TestSphereKernel:
                     assert np.array_equal(rows[m - 1], kernel(t, n, m))
             assert np.array_equal(kernel(0.5, 8, [2, 3]), [kernel(0.5, 8, 2), kernel(0.5, 8, 3)])
 
+    def test_derivative_bound_sits_at_the_product_overflow(self):
+        # N = 2000: the largest product 2093!/2000! fits float64 at m = 94, 2094!/2000! does not
+        t = np.linspace(0.0, 1.0, 5)[1:]
+        with np.errstate(over="raise"):
+            assert np.isfinite(sphere_kernel_derivative(t, 2000, range(1, 94))).all()
+        with np.errstate(over="ignore"):  # the sum at m = 94 may still overflow
+            sphere_kernel_derivative(t, 2000, 94)
+        with pytest.raises(ParameterError):
+            sphere_kernel_derivative(t, 2000, [1, 95])
+
     def test_derivative_coefficients_match_polyder(self):
         from numpy.polynomial import polynomial as npoly
 
@@ -330,6 +341,16 @@ class TestWinding:
         assert rep.inverse_residual < 1e-12
         assert rep.safe_band == 32 - (2 + 2)
 
+    def test_no_matrix_built(self):
+        tracemalloc.start()
+        try:
+            rep = winding_report(mode_symbol(3), 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.value == -3.0 and rep.safe_band == 10**6 - 6
+        assert peak < 1 << 20
+
     def test_inverse_symbol_quality(self):
         grid = circle_grid(256)
         a = sample_to_symbol(2.0 + np.cos(grid)).pruned(1e-14)
@@ -337,3 +358,53 @@ class TestWinding:
         assert residual < 5e-3
         product = symbol_eval(a, grid) * symbol_eval(inverse, grid)
         assert np.max(np.abs(product - 1.0)) < 1e-2
+
+
+def laurent_symbol(rng):
+    """z^-2 (1 + sum_{0<|k|<=3} c_k z^k) with sum |c_k| = 0.6: degree -2."""
+    tail = {
+        k: complex(np.exp(2j * np.pi * rng.uniform())) * rng.uniform(0.3, 1)
+        for k in range(-3, 4)
+        if k
+    }
+    scale = 0.6 / sum(abs(v) for v in tail.values())
+    coeffs = {k - 2: v * scale for k, v in tail.items()}
+    coeffs[-2] = 1.0 + 0j
+    return FourierSymbol(coeffs)
+
+
+def invertible_trig_poly(rng, degree):
+    """2 + sum_{0<|k|<=degree} c_k z^k with sum |c_k| <= 1: degree 0."""
+    coeffs = {
+        k: complex(np.exp(2j * np.pi * rng.uniform())) / (2 * degree)
+        for k in range(-degree, degree + 1)
+        if k
+    }
+    coeffs[0] = 2.0 + 0j
+    return FourierSymbol(coeffs)
+
+
+def dense_winding_trace(a, n):
+    """tr((2P-1)[P,a][P,a^-1]) contracted over the two commutator matrices."""
+    inverse, _ = invert_symbol(a)
+    ca, ci = commutator_matrix(a, n), commutator_matrix(inverse, n)
+    refl = np.where(ca.row_basis.labels >= 0, 1.0, -1.0)
+    return complex(np.einsum("i,ij,ji->", refl, ca.matrix, ci.matrix))
+
+
+WINDING_SYMBOLS = {
+    **{f"z^{k}": mode_symbol(k) for k in (1, 2, 3, -1, -2, -3)},
+    "laurent": laurent_symbol(np.random.default_rng(7)),
+    **{f"trig-{d}": invertible_trig_poly(np.random.default_rng(d), d) for d in (1, 3, 6)},
+}
+
+
+@pytest.mark.parametrize("a", WINDING_SYMBOLS.values(), ids=WINDING_SYMBOLS)
+def test_winding_coefficient_sum_matches_dense_trace(a):
+    for n in (1, 2, 8, 64, 256):  # n = 1 and 2 sit below the band: negative safe band
+        dense = dense_winding_trace(a, n)
+        rep = winding_report(a, n)
+        tol = 1e-13 * max(1.0, abs(dense))
+        assert abs(rep.value - dense.real) <= tol
+        assert abs(rep.imag_defect - abs(dense.imag)) <= tol
+        assert rep.nearest_integer == round(dense.real)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,101 @@ def test_commutator_skew_for_real_symbol():
     w = weierstrass_symbol(WeierstrassParams(0.5, 2, CoefficientRule.constant(1.0)), 8)
     c = commutator_matrix(w, 16).matrix
     assert np.allclose(c.conj().T, -c, atol=1e-14)
+
+
+def signed_symbol(rng, degree, real=False):
+    """Random coefficients with negative parts and signed zeros mixed in."""
+    coeffs = {}
+    for k in range(-degree, degree + 1):
+        re, im = rng.standard_normal(2)
+        pick = rng.integers(5)
+        im = 0.0 if real or pick == 0 else -0.0 if pick == 1 else im
+        re = -0.0 if pick == 2 else re
+        if pick != 3:  # leave some modes absent
+            coeffs[k] = complex(re, im)
+    return FourierSymbol(coeffs)
+
+
+def coefficient_vector(a, lo, hi):
+    return np.array([a[k] for k in range(lo, hi + 1)], dtype=complex)
+
+
+def gathered_hankel(a, n):
+    """The index-matrix build: vec[l + i + 1] gathered from a_0..a_{2N}."""
+    vec = coefficient_vector(a, 0, 2 * n)
+    if not vec.imag.any():
+        vec = vec.real
+    return vec[np.add.outer(np.arange(n), np.arange(n)) + 1]
+
+
+def gathered_commutator(a, n):
+    """The sign x gather build over the mode-difference matrix."""
+    labels = full_basis(n).labels
+    vec = coefficient_vector(a, -2 * n, 2 * n)
+    diff = labels[:, None] - labels[None, :]
+    sign = (labels[:, None] >= 0).astype(float) - (labels[None, :] >= 0).astype(float)
+    return sign * vec[diff + 2 * n]
+
+
+def gathered_multiplication(a, basis):
+    labels = basis.labels
+    span = int(labels.max() - labels.min())
+    vec = coefficient_vector(a, -span, span)
+    return vec[labels[:, None] - labels[None, :] + span]
+
+
+def same_bits(left, right):
+    return left.dtype == right.dtype and np.array_equal(
+        np.ascontiguousarray(left).view(np.uint64), np.ascontiguousarray(right).view(np.uint64)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+@pytest.mark.parametrize("real", [True, False])
+def test_hankel_view_matches_gathered_build(n, real):
+    rng = np.random.default_rng(n)
+    for degree in (1, n, 2 * n + 3):
+        a = signed_symbol(rng, degree, real)
+        assert same_bits(hankel_matrix(a, n).matrix, gathered_hankel(a, n))
+
+
+def test_hankel_matrix_is_a_read_only_copy():
+    a = FourierSymbol({k: 1.0 / k for k in range(1, 16)})
+    op = hankel_matrix(a, 8)
+    assert not op.matrix.flags.writeable
+    assert op.matrix.flags.owndata and op.matrix.flags.c_contiguous
+    assert op.matrix.strides == (64, 8)  # one slot per entry, none shared
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 32])
+def test_commutator_blocks_match_sign_times_gather(n):
+    rng = np.random.default_rng(10 + n)
+    for degree in (1, n, 2 * n + 1):
+        a = signed_symbol(rng, degree)
+        assert same_bits(commutator_matrix(a, n).matrix, gathered_commutator(a, n))
+
+
+@pytest.mark.parametrize("make_basis", [full_basis, hardy_basis, antiholomorphic_basis])
+def test_multiplication_view_matches_gathered_build(make_basis):
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 9):
+        a, basis = signed_symbol(rng, n + 1), make_basis(n)
+        assert same_bits(multiplication_matrix(a, basis).matrix, gathered_multiplication(a, basis))
+
+
+def test_builders_hold_no_entry_sized_temporaries():
+    a = random_symbol(np.random.default_rng(2), 4)
+    for build, copies in (
+        (lambda: hankel_matrix(a, 256), 1),  # the operator's own copy
+        (lambda: commutator_matrix(a, 128), 2),  # the filled blocks and that copy
+    ):
+        tracemalloc.start()
+        try:
+            op = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (copies + 0.1) * op.matrix.nbytes
 
 
 def test_szego_reflection_properties():
@@ -292,7 +388,14 @@ def test_operator_dump_is_plain_json():
 def test_operator_validation():
     with pytest.raises(ParameterError):
         TruncatedOperator(np.zeros((2, 3)), hardy_basis(2), hardy_basis(2))
+    for bad in ([[np.inf, 0], [0, 0]], [[0, -np.inf], [0, 0]], [[0, 0], [np.nan, 0]],
+                [[0, 0], [0, complex(1.0, np.nan)]], [[complex(0, -np.inf), 0], [0, 0]]):
+        with pytest.raises(ParameterError):
+            TruncatedOperator(np.array(bad), hardy_basis(2), hardy_basis(2))
+    huge = np.array([[1.7e308, 1e308], [-1.7e308, complex(0, 1.7e308)]])
+    for finite in (huge, huge.T, huge.real.T):  # either memory order
+        op = TruncatedOperator(finite, hardy_basis(2), hardy_basis(2))
+        assert np.array_equal(op.matrix, finite)
     with pytest.raises(ParameterError):
-        TruncatedOperator(
-            np.array([[np.inf, 0], [0, 0]]), hardy_basis(2), hardy_basis(2)
-        )
+        TruncatedOperator(np.array([[0, np.nan], [0, 0]]).T, hardy_basis(2), hardy_basis(2))
+    assert TruncatedOperator(np.zeros((0, 2)), hardy_basis(0), hardy_basis(2)).shape == (0, 2)
