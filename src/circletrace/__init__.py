@@ -28,7 +28,7 @@ from .fourier import (
     symbol_to_json_obj,
     weierstrass_symbol,
 )
-from .littlewood_paley import INF, LPBlock, besov_norm, holder_norm_star, lp_block, lp_convolve
+from .littlewood_paley import INF, besov_norm, hat_weights, holder_norm_star
 from .operators import (
     BasisIndexMap,
     OrderingRule,

@@ -14,19 +14,16 @@ exactly like every other lacunary level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .errors import ParameterError
-from .fourier import FourierSymbol, circle_grid, symbol_eval
+from .fourier import FourierSymbol
 
 __all__ = [
     "INF",
-    "LPBlock",
-    "lp_block",
-    "lp_convolve",
+    "hat_weights",
     "holder_norm_star",
     "besov_norm",
 ]
@@ -42,81 +39,69 @@ def _normalize_exponent(p) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class LPBlock:
-    """One Fourier-side block: index, lacunary base and triangular profile."""
-
-    n: int
-    gamma: int
-    profile: FourierSymbol
+def _span(x: int):
+    """A positive hat span as int64 when it fits, else rounded to float64."""
+    return np.int64(x) if x < 2**63 else float(x)
 
 
-def _hat_coeffs(n: int, gamma: int) -> dict[int, complex]:
-    lo = gamma ** (n - 1)
-    mid = gamma**n
-    hi = gamma ** (n + 1)
-    coeffs: dict[int, complex] = {}
-    for k in range(lo + 1, hi):
-        if k <= mid:
-            coeffs[k] = complex((k - lo) / (mid - lo))
-        else:
-            coeffs[k] = complex((hi - k) / (hi - mid))
-    return coeffs
+def hat_weights(n: int, gamma: int, modes) -> np.ndarray:
+    """Block-n hat value at each mode as float64, 0 off the block's support.
 
-
-def lp_block(n: int, gamma: int) -> LPBlock:
-    """Block profile for index n; negative n mirrors the positive block."""
+    Block 0 is the indicator of mode 0 and negative n mirrors block |n|.
+    Rise (k - lo) / (mid - lo) and fall (hi - k) / (hi - mid), with
+    lo, mid, hi = gamma^(|n|-1), gamma^|n|, gamma^(|n|+1), are taken in int64
+    and so equal the exact-integer quotients bit for bit while hi < 2^53.
+    """
     if gamma < 2:
         raise ParameterError(f"gamma must be >= 2, got {gamma}")
+    k = np.asarray(modes, dtype=np.int64) * (-1 if n < 0 else 1)
+    out = np.zeros(k.shape)
     if n == 0:
-        return LPBlock(0, gamma, FourierSymbol({0: 1.0}))
-    coeffs = _hat_coeffs(abs(n), gamma)
-    if n < 0:
-        coeffs = {-k: v.conjugate() for k, v in coeffs.items()}
-    return LPBlock(n, gamma, FourierSymbol(coeffs))
+        out[k == 0] = 1.0
+        return out
+    lo, mid, hi = (gamma ** (abs(n) + e) for e in (-1, 0, 1))
+    rise = (k > lo) & (k <= mid)  # numpy compares int64 with any Python int exactly
+    if rise.any():  # then lo < k, so k - lo fits int64
+        out[rise] = (k[rise] - lo) / _span(mid - lo)
+    fall = (k > mid) & (k < hi)
+    if fall.any():  # then mid < k, so k - mid fits int64
+        out[fall] = (_span(hi - mid) - (k[fall] - mid)) / _span(hi - mid)
+    return out
 
 
-def lp_convolve(a: FourierSymbol, n: int, gamma: int) -> FourierSymbol:
-    """Multiply Fourier coefficients of ``a`` with the block-n profile."""
-    profile = lp_block(n, gamma).profile
-    return FourierSymbol(
-        {k: a.coeffs[k] * profile.coeffs[k] for k in a.coeffs if k in profile.coeffs}
-    )
+def _norm_levels(
+    a: FourierSymbol, gamma: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(scale exponent |n|, modes, coefficients) of each block piece of ``a``.
 
-
-def _norm_levels(a: FourierSymbol, gamma: int) -> Iterator[tuple[int, FourierSymbol]]:
-    """(scale exponent |n|, block piece of ``a``) over levels meeting the band.
-
-    Yields the hat blocks +-1..+-top, the mode-0 block and the two singleton
-    levels at modes +-1 described in the module docstring.
+    Yields the singleton levels at modes 0, +1 and -1 described in the module
+    docstring, then the hat blocks +-1..+-top meeting the band.  Modes keep
+    the symbol's order and vanishing coefficients are dropped.
     """
-    if not a.coeffs:
-        return
-    if 0 in a.coeffs:
-        yield 0, FourierSymbol({0: a.coeffs[0]})
-    for k0 in (1, -1):
-        if k0 in a.coeffs:
-            yield 0, FourierSymbol({k0: a.coeffs[k0]})
-    band = a.n_max
+    modes = np.fromiter(a.coeffs, dtype=np.int64, count=len(a.coeffs))
+    values = np.fromiter(a.coeffs.values(), dtype=complex, count=len(a.coeffs))
+    for k0 in (0, 1, -1):
+        if (hit := modes == k0).any():
+            yield 0, modes[hit], values[hit]
     top = 1
-    while gamma ** (top - 1) < band:
+    while gamma ** (top - 1) < a.n_max:
         top += 1
     for absn in range(1, top + 1):
         for n in (absn, -absn):
-            piece = lp_convolve(a, n, gamma)
-            if piece.coeffs:
-                yield absn, piece
+            weights = hat_weights(n, gamma, modes)
+            on = np.flatnonzero(weights)
+            coeffs = values[on] * weights[on]
+            if (kept := coeffs != 0).any():
+                yield absn, modes[on][kept], coeffs[kept]
 
 
-def _grid_size(a: FourierSymbol, requested: int | None, minimum_factor: int = 8) -> int:
-    auto = max(minimum_factor * max(a.n_max, 1), 16)
-    if requested is None:
-        return auto
-    if requested < 4 * a.n_max:
-        raise ParameterError(
-            f"grid of {requested} angles is too coarse for band {a.n_max}"
-        )
-    return requested
+def _grid_size(a: FourierSymbol, requested: int | None) -> int:
+    if requested is not None and requested < 4 * a.n_max:
+        raise ParameterError(f"grid of {requested} angles is too coarse for band {a.n_max}")
+    size = max(8 * max(a.n_max, 1), 16) if requested is None else requested
+    if size * size >= 2**63:
+        raise ParameterError(f"grid of {size} angles is too fine: k*j mod {size} needs int64")
+    return size
 
 
 def holder_norm_star(
@@ -124,21 +109,15 @@ def holder_norm_star(
 ) -> float:
     """Grid estimate of sup_n gamma^(|n|*alpha) * max |block_n * a|.
 
-    The supremum per level is taken over a dense uniform grid (default
-    8 * n_max angles); band-limited inputs make that an honest estimator.
+    That is the (alpha, INF, INF) Besov norm.  The supremum per level is
+    taken over a dense uniform grid (default 8 * n_max angles); band-limited
+    inputs make that an honest estimator.
     """
-    if gamma < 2:
-        raise ParameterError(f"gamma must be >= 2, got {gamma}")
-    grid = circle_grid(_grid_size(a, sup_angles, minimum_factor=8))
-    best = 0.0
-    for absn, piece in _norm_levels(a, gamma):
-        value = gamma ** (absn * alpha) * float(np.max(np.abs(symbol_eval(piece, grid))))
-        best = max(best, value)
-    return best
+    return besov_norm(a, alpha, INF, INF, gamma, sup_angles)
 
 
-def _lp_norm(piece: FourierSymbol, p, grid: np.ndarray) -> float:
-    values = np.abs(symbol_eval(piece, grid))
+def _lp_norm(values: np.ndarray, p) -> float:
+    values = np.abs(values)
     if p == INF:
         return float(np.max(values))
     # volume-1 circle: L^p is a plain grid mean
@@ -158,11 +137,20 @@ def besov_norm(
         raise ParameterError(f"gamma must be >= 2, got {gamma}")
     p = _normalize_exponent(p)
     q = _normalize_exponent(q)
-    grid = circle_grid(_grid_size(a, grid_angles, minimum_factor=8))
-    per_level = [
-        gamma ** (absn * t) * _lp_norm(piece, p, grid)
-        for absn, piece in _norm_levels(a, gamma)
-    ]
+    size = _grid_size(a, grid_angles)
+    # A piece's values at the angles 2*pi*j/size are gathered from one table
+    # of roots of unity at the exactly reduced indices (k mod size) * j mod
+    # size: no phase k * theta is rounded and no exponential is taken per mode.
+    j = np.arange(size)
+    roots = np.exp(1j * (2.0 * np.pi * j / size))
+    index = np.empty(size, dtype=np.int64)
+    per_level = []
+    for absn, modes, coeffs in _norm_levels(a, gamma):
+        values = np.zeros(size, dtype=complex)
+        for k, c in zip(modes.tolist(), coeffs.tolist()):
+            np.remainder(np.multiply(j, k % size, out=index), size, out=index)
+            values += c * roots[index]
+        per_level.append(gamma ** (absn * t) * _lp_norm(values, p))
     if not per_level:
         return 0.0
     arr = np.asarray(per_level)

@@ -140,18 +140,18 @@ def hankel_matrix(a: FourierSymbol, n: int) -> TruncatedOperator:
     """N x N block of P a (1-P): entry [l, i] = a_{l+i+1}.
 
     Rows run over holomorphic modes 0..N-1, columns over antiholomorphic
-    modes -1..-N; only the analytic part of the symbol contributes, and the
-    matrix is constant along anti-diagonals.  It is real when the analytic
-    coefficients are.  The block is a strided view of the coefficients,
-    copied once into the operator.
+    modes -1..-N; only a_1..a_{2N-1} enter, and the matrix is constant along
+    anti-diagonals.  It is stored real when those coefficients are.  The
+    block is a strided view of the coefficients, copied once into the
+    operator.
     """
     if n < 1:
         raise ParameterError("truncation size must be >= 1")
-    vec = _coeff_lookup(a, 0, 2 * n)
+    vec = _coeff_lookup(a, 1, 2 * n - 1)
     if not vec.imag.any():
         vec = vec.real
     return TruncatedOperator(
-        sliding_window_view(vec[1 : 2 * n], n), hardy_basis(n), antiholomorphic_basis(n)
+        sliding_window_view(vec, n), hardy_basis(n), antiholomorphic_basis(n)
     )
 
 

@@ -119,6 +119,8 @@ def _write_json(obj, out: io.StringIO) -> None:
             out.write(": ")
             _write_json(value, out)
         out.write("}")
+    elif isinstance(obj, list) and (flat := _flat_list(obj)) is not None:
+        out.write(flat)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         out.write("[")
         for i, value in enumerate(obj):
@@ -130,9 +132,17 @@ def _write_json(obj, out: io.StringIO) -> None:
         raise ParameterError(f"cannot serialize value of type {type(obj).__name__}")
 
 
-def _csv_cell(value) -> list[str]:
-    z = complex(value)
-    return [format_float(z.real), format_float(z.imag)]
+def _flat_list(items: list) -> str | None:
+    """One join over a list of only exact floats, only exact ints or only exact
+    complex values (bools and numpy scalars excluded); None for other lists."""
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        return "[" + ", ".join([f"{x:.17g}" for x in items]) + "]"
+    if kinds == {int}:
+        return "[" + ", ".join(map(str, items)) + "]"
+    if kinds == {complex}:
+        return "[" + ", ".join([f"[{z.real:.17g}, {z.imag:.17g}]" for z in items]) + "]"
+    return None
 
 
 def emit_report(report: Report, fmt: str) -> bytes:
@@ -145,12 +155,13 @@ def emit_report(report: Report, fmt: str) -> bytes:
     if fmt == "csv":
         lines = ["series,point,value_re,value_im"]
         for scalar in report.scalars:
-            cells = _csv_cell(scalar["value"])
-            lines.append(",".join([_csv_name(scalar["expression"]), "", *cells]))
+            z = complex(scalar["value"])
+            lines.append(f"{_csv_name(scalar['expression'])},,{z.real:.17g},{z.imag:.17g}")
         for seq in report.sequences:
+            name = _csv_name(seq["name"])
             for point, value in zip(seq["points"], seq["values"]):
-                cells = _csv_cell(value if not isinstance(value, list) else complex(*value))
-                lines.append(",".join([_csv_name(seq["name"]), str(point), *cells]))
+                z = complex(*value) if isinstance(value, list) else complex(value)
+                lines.append(f"{name},{point},{z.real:.17g},{z.imag:.17g}")
         return ("\n".join(lines) + "\n").encode()
     raise ParameterError(f"unknown report format {fmt!r}")
 

@@ -36,7 +36,7 @@ from circletrace.operators import (
 def hardy_diag(values):
     n = len(values)
     return TruncatedOperator(
-        np.diag(np.asarray(values, dtype=complex)), hardy_basis(n), hardy_basis(n)
+        np.diag(np.asarray(values, dtype=float)), hardy_basis(n), hardy_basis(n)
     )
 
 

@@ -8,15 +8,15 @@ from circletrace.fourier import (
     CoefficientRule,
     FourierSymbol,
     WeierstrassParams,
-    mode_symbol,
+    circle_grid,
+    symbol_eval,
     weierstrass_symbol,
 )
 from circletrace.littlewood_paley import (
     INF,
     besov_norm,
+    hat_weights,
     holder_norm_star,
-    lp_block,
-    lp_convolve,
 )
 
 
@@ -24,55 +24,161 @@ def lacunary(alpha, gamma, c, cutoff):
     return weierstrass_symbol(WeierstrassParams(alpha, gamma, c), cutoff)
 
 
+# Reference route: the hat block as a dict of exact-integer quotients, the
+# block piece as a coefficient product and its grid values from symbol_eval.
+
+
+def dict_hat(n, gamma):
+    if n == 0:
+        return {0: 1.0}
+    lo, mid, hi = gamma ** (abs(n) - 1), gamma ** abs(n), gamma ** (abs(n) + 1)
+    hat = {k: (k - lo) / (mid - lo) if k <= mid else (hi - k) / (hi - mid) for k in range(lo + 1, hi)}
+    return hat if n > 0 else {-k: v for k, v in hat.items()}
+
+
+def dict_levels(a, gamma):
+    for k0 in (0, 1, -1):
+        if k0 in a.coeffs:
+            yield 0, FourierSymbol({k0: a.coeffs[k0]})
+    top = 1
+    while gamma ** (top - 1) < a.n_max:
+        top += 1
+    for absn in range(1, top + 1):
+        for n in (absn, -absn):
+            hat = dict_hat(n, gamma)
+            piece = FourierSymbol({k: v * hat[k] for k, v in a.coeffs.items() if k in hat})
+            if piece.coeffs:
+                yield absn, piece
+
+
+def dict_holder(a, alpha, gamma):
+    grid = circle_grid(max(8 * max(a.n_max, 1), 16))
+    return max(
+        (gamma ** (absn * alpha) * np.max(np.abs(symbol_eval(piece, grid)))
+         for absn, piece in dict_levels(a, gamma)),
+        default=0.0,
+    )
+
+
+def dict_besov(a, t, p, q, gamma):
+    grid = circle_grid(max(8 * max(a.n_max, 1), 16))
+    per_level = []
+    for absn, piece in dict_levels(a, gamma):
+        values = np.abs(symbol_eval(piece, grid))
+        lp = np.max(values) if p == INF else np.mean(values**p) ** (1.0 / p)
+        per_level.append(gamma ** (absn * t) * lp)
+    arr = np.asarray(per_level)
+    return np.max(arr) if q == INF else np.sum(arr**q) ** (1.0 / q)
+
+
 def test_block_profile_base_two():
-    profile = lp_block(2, 2).profile
-    assert profile[4] == pytest.approx(1.0)
-    assert profile[3] == pytest.approx(0.5)
-    assert profile[6] == pytest.approx(0.5)
-    assert profile[2] == 0 and profile[8] == 0
+    w = hat_weights(2, 2, [4, 3, 6, 2, 8])
+    assert w[0] == pytest.approx(1.0)
+    assert w[1] == pytest.approx(0.5)
+    assert w[2] == pytest.approx(0.5)
+    assert w[3] == 0 and w[4] == 0
 
 
 def test_block_zero_is_constant():
-    assert lp_block(0, 5).profile.coeffs == {0: 1.0 + 0j}
+    modes = np.arange(-30, 31)
+    assert np.array_equal(hat_weights(0, 5, modes), (modes == 0).astype(float))
 
 
 def test_negative_block_mirrors():
-    pos = lp_block(2, 2).profile
-    neg = lp_block(-2, 2).profile
-    assert neg[-4] == pytest.approx(1.0)
-    for k, v in pos.coeffs.items():
-        assert neg[-k] == pytest.approx(v.conjugate())
+    modes = np.arange(-12, 13)
+    pos = hat_weights(2, 2, modes)
+    neg = hat_weights(-2, 2, modes)
+    assert neg[modes == -4][0] == pytest.approx(1.0)
+    assert np.array_equal(neg, pos[::-1])
 
 
 def test_partition_of_unity():
     # base 2: dyadic hat values are exact in binary floating point
     top = 8
-    for k in range(2, 2**top + 1):
-        total = sum(lp_block(n, 2).profile[k].real for n in range(0, top + 2))
-        assert total == 1.0
+    modes = np.arange(2, 2**top + 1)
+    total = sum(hat_weights(n, 2, modes) for n in range(0, top + 2))
+    assert np.all(total == 1.0)
     # base 3: same tiling up to rounding
-    for k in range(3, 3**5 + 1):
-        total = sum(lp_block(n, 3).profile[k].real for n in range(0, 7))
-        assert total == pytest.approx(1.0, abs=1e-14)
+    modes = np.arange(3, 3**5 + 1)
+    total = sum(hat_weights(n, 3, modes) for n in range(0, 7))
+    assert np.allclose(total, 1.0, rtol=0, atol=1e-14)
 
 
 def test_convolve_picks_single_lacunary_level():
     w = lacunary(0.5, 2, CoefficientRule.constant(1.0), 64)
+    modes = np.array(list(w.coeffs))
     for n in range(1, 7):
-        piece = lp_convolve(w, n, 2)
-        assert list(piece.coeffs) == [2**n]
-        assert piece[2**n] == pytest.approx(2 ** (-0.5 * n))
+        weights = hat_weights(n, 2, modes)
+        assert list(modes[weights != 0]) == [2**n]
+        assert w[2**n] * weights[modes == 2**n][0] == pytest.approx(2 ** (-0.5 * n))
 
 
 def test_convolve_interpolates_midway_mode():
-    a = mode_symbol(6)  # halfway between 4 and 8 for the n=2 block
-    piece = lp_convolve(a, 2, 2)
-    assert piece[6] == pytest.approx(0.5)
+    # mode 6 is halfway between 4 and 8 for the n=2 block
+    assert hat_weights(2, 2, [6])[0] == pytest.approx(0.5)
 
 
 def test_convolve_disjoint_support_is_zero():
-    a = mode_symbol(2)  # at/below gamma^(n-1) = 4 for n = 3
-    assert lp_convolve(a, 3, 2).coeffs == {}
+    # mode 2 is at/below gamma^(n-1) = 4 for n = 3
+    assert not hat_weights(3, 2, [2]).any()
+
+
+@pytest.mark.parametrize("gamma", [2, 3, 5])
+def test_hat_weights_equal_exact_integer_quotients(gamma):
+    for absn in range(0, 9):
+        hat = dict_hat(absn, gamma)
+        support = np.fromiter(hat, dtype=np.int64, count=len(hat))
+        expected = np.fromiter(hat.values(), dtype=float, count=len(hat)).view(np.uint64)
+        outside = np.array([-1, 0, 1, gamma ** max(absn - 1, 0), gamma ** (absn + 1)])
+        outside = outside[~np.isin(outside, support)]
+        for n, sign in ((absn, 1), (-absn, -1)):
+            assert np.array_equal(hat_weights(n, gamma, sign * support).view(np.uint64), expected)
+            assert not hat_weights(n, gamma, sign * outside).any()
+
+
+def test_hat_weights_do_not_overflow_beyond_int64():
+    gamma = 10**6  # gamma^(n+1) passes int64 from n = 3 on
+    big = np.iinfo(np.int64).max
+    modes = np.array([0, 1, 10**6, 10**12, 10**12 + 10**6, 10**18, 5 * 10**18, big, -(10**18)])
+    for n in range(-5, 6):
+        got = hat_weights(n, gamma, modes)
+        hat_n = abs(n)
+        lo, mid, hi = gamma ** (hat_n - 1), gamma**hat_n, gamma ** (hat_n + 1)
+        for k, value in zip(modes.tolist(), got.tolist()):
+            k = k if n >= 0 else -k
+            if n == 0:
+                exact = float(k == 0)
+            elif lo < k <= mid:
+                exact = (k - lo) / (mid - lo)
+            elif mid < k < hi:
+                exact = (hi - k) / (hi - mid)
+            else:
+                exact = 0.0
+            assert value == pytest.approx(exact, rel=1e-15, abs=0)
+    assert hat_weights(3, gamma, [10**18])[0] == 1.0
+
+
+def oracle_symbols():
+    rng = np.random.default_rng(21)
+    for n in (7, 40, 150):
+        modes = rng.integers(-n, n + 1, size=n // 2 + 2)
+        yield FourierSymbol({int(k): complex(*rng.standard_normal(2)) for k in modes}), 0.4
+    head = list(rng.uniform(0.2, 2.0, size=5))
+    yield lacunary(0.3, 2, CoefficientRule.from_head(head), 2**9), 0.3
+    yield lacunary(0.7, 3, CoefficientRule.constant(1.0), 3**6), 0.7
+
+
+@pytest.mark.parametrize("gamma", [2, 3])
+def test_norms_match_the_dict_route(gamma):
+    for a, alpha in oracle_symbols():
+        assert holder_norm_star(a, alpha, gamma) == pytest.approx(
+            dict_holder(a, alpha, gamma), rel=1e-13, abs=0
+        )
+        for p in (1, 2, INF):
+            for q in (1, 2, INF):
+                assert besov_norm(a, alpha, p, q, gamma) == pytest.approx(
+                    dict_besov(a, alpha, p, q, gamma), rel=1e-13, abs=0
+                )
 
 
 def test_holder_norm_of_lacunary_families():
@@ -105,6 +211,18 @@ def test_holder_norm_rejects_coarse_grid():
         holder_norm_star(w, 0.5, 2, sup_angles=100)  # below 4 * n_max
     dense = holder_norm_star(w, 0.5, 2, sup_angles=4096)
     assert dense == pytest.approx(1.0, abs=1e-10)
+
+
+def test_norms_reject_grids_whose_phase_indices_pass_int64():
+    # (k mod G) * j needs G^2 < 2^63; the check comes before any allocation
+    far = FourierSymbol({2**29: 1.0})  # default grid 2^32 angles
+    with pytest.raises(ParameterError, match="too fine"):
+        holder_norm_star(far, 0.5, 2)
+    with pytest.raises(ParameterError, match="too fine"):
+        besov_norm(far, 0.5, 2, 2, 2)
+    w = lacunary(0.5, 2, CoefficientRule.constant(1.0), 64)
+    with pytest.raises(ParameterError, match="too fine"):
+        holder_norm_star(w, 0.5, 2, sup_angles=3_037_000_500)
 
 
 def test_besov_accepts_float_infinity():

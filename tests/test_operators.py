@@ -124,11 +124,11 @@ def coefficient_vector(a, lo, hi):
 
 
 def gathered_hankel(a, n):
-    """The index-matrix build: vec[l + i + 1] gathered from a_0..a_{2N}."""
+    """The index-matrix build: vec[l + i + 1] gathered from a_0..a_{2N},
+    stored real when the gathered entries are."""
     vec = coefficient_vector(a, 0, 2 * n)
-    if not vec.imag.any():
-        vec = vec.real
-    return vec[np.add.outer(np.arange(n), np.arange(n)) + 1]
+    block = vec[np.add.outer(np.arange(n), np.arange(n)) + 1]
+    return block.real if not block.imag.any() else block
 
 
 def gathered_commutator(a, n):
@@ -160,6 +160,16 @@ def test_hankel_view_matches_gathered_build(n, real):
     for degree in (1, n, 2 * n + 3):
         a = signed_symbol(rng, degree, real)
         assert same_bits(hankel_matrix(a, n).matrix, gathered_hankel(a, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_hankel_dtype_follows_the_coefficients_it_reads(n):
+    # i + z^3: a_0 is complex but never enters the block
+    a = FourierSymbol({0: 1j, 3: 1.0})
+    block = hankel_matrix(a, n).matrix
+    complex_build = coefficient_vector(a, 0, 2 * n)[np.add.outer(np.arange(n), np.arange(n)) + 1]
+    assert block.dtype == np.float64
+    assert same_bits(block, complex_build.real)
 
 
 def test_hankel_matrix_is_a_read_only_copy():
