@@ -49,6 +49,7 @@ from .spectral import (
     SingularSpectrum,
     decay_slope,
     hermitian_eigenvalues,
+    lacunary_hankel_spectrum,
     singular_values,
     weak_quasinorm,
 )

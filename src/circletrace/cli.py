@@ -55,7 +55,7 @@ from .nc_torus import (
 )
 from .operators import commutator_matrix, hankel_matrix, operator_to_json_obj
 from .report import Report, emit_report
-from .spectral import decay_slope, singular_values, weak_quasinorm
+from .spectral import decay_slope, lacunary_hankel_spectrum, singular_values, weak_quasinorm
 
 __all__ = ["Limits", "ExperimentConfig", "run_experiment", "emit_report", "main"]
 
@@ -406,10 +406,17 @@ def _run_measurability(limits: Limits, *, N, policy, entries, label, gamma, c, d
     Param("k_hi", int, None, help="default: min(512, N/4, numerical rank)"),
 )
 def _run_singular_sweep(limits: Limits, *, alpha, gamma, c, N, p, k_lo, k_hi) -> Report:
-    if N > limits.max_matrix:
-        raise ResourceLimitError(f"matrix size {N} exceeds the cap {limits.max_matrix}")
+    if N > limits.max_tuples:
+        raise ResourceLimitError(f"{N} singular values exceed {limits.max_tuples}")
     symbol = weierstrass_symbol(WeierstrassParams(alpha=alpha, gamma=gamma, c=c), 2 * N)
-    spectrum = singular_values(hankel_matrix(symbol, N))
+    # Every mode is a real power of gamma, so with none in (N, 2N) the block is
+    # H_P (+) 0 and its spectrum is closed form; otherwise the dense route.
+    if symbol.restricted(2 * N - 1).n_max <= N:
+        spectrum = lacunary_hankel_spectrum(symbol, gamma, N)
+    elif N > limits.max_matrix:
+        raise ResourceLimitError(f"matrix size {N} exceeds the cap {limits.max_matrix}")
+    else:
+        spectrum = singular_values(hankel_matrix(symbol, N))
     if k_hi is None:
         k_hi = min(512, N // 4, int(np.count_nonzero(spectrum.mu > 0)))
     if k_lo is None:  # 16, unless that leaves fewer than two indices below k_hi
@@ -534,8 +541,11 @@ def _run_hn_check(limits: Limits, *, m_max, N, t_points) -> Report:
     report = Report(kind="HnCheck")
     report.inputs = {"m_max": m_max, "N": N, "t_points": t_points}
     orders = range(1, m_max + 1)
-    # the derivative route first: it refuses products beyond float64 before any work
+    # the derivative route first: it refuses products beyond float64 before any work,
+    # and a Horner sum beyond float64 is refused before the binomial route runs
     derivative_form = cf.sphere_kernel_derivative(t_grid, N, orders)
+    if not np.isfinite(derivative_form).all():
+        raise ParameterError(f"derivative route overflows float64 at N = {N}, m up to {m_max}")
     binom_form = cf.sphere_kernel(t_grid, N, orders)
     gaps = np.max(np.abs(binom_form - derivative_form), axis=1)
     worst = 0.0

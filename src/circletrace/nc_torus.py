@@ -273,10 +273,6 @@ class LatticeSymbol:
         object.__setattr__(self, "coeffs", cleaned)
 
     @classmethod
-    def single_mode(cls, vec: Sequence[int], amplitude: complex = 1.0) -> "LatticeSymbol":
-        return cls(len(vec), {tuple(vec): amplitude})
-
-    @classmethod
     def symmetric_pair(cls, vec: Sequence[int], amplitude: complex = 1.0) -> "LatticeSymbol":
         """Amplitude at +vec and -vec (a real combination for real amplitude)."""
         v = tuple(int(c) for c in vec)

@@ -7,11 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SpectralError
+from .fourier import FourierSymbol
 from .operators import TruncatedOperator
 
 __all__ = [
     "SingularSpectrum",
     "singular_values",
+    "lacunary_hankel_spectrum",
     "weak_quasinorm",
     "decay_slope",
     "hermitian_eigenvalues",
@@ -65,6 +67,48 @@ def singular_values(op: TruncatedOperator) -> SingularSpectrum:
     mu = np.zeros(min(op.shape))
     mu[: block_mu.size] = block_mu
     return SingularSpectrum(mu)
+
+
+def lacunary_hankel_spectrum(a: FourierSymbol, gamma: int, n: int) -> SingularSpectrum:
+    """Singular values of ``hankel_matrix(a, n)`` in closed form, with no matrix.
+
+    Applies when every mode of ``a`` in [1, 2n) is a power of ``gamma`` at
+    most n with a real coefficient; otherwise ParameterError.  With
+    c_j = a_{gamma^j} and P = gamma^m the largest power at most n, the block
+    is H_P (+) 0, and H_{gamma^j} = c_j J + (H_{gamma^(j-1)} (+) 0) with J the
+    exchange matrix.  J swaps the top and bottom gamma^(j-1) indices and
+    reflects the middle ones, so each singular value mu of the smaller block
+    gives big = (mu + hypot(mu, 2 c_j)) / 2 and small = c_j^2 / big (0 when
+    big = 0), and the middle adds |c_j| gamma^j - 2 gamma^(j-1) times.  From
+    H_1 = [c_0] that is O(n) work and one sort; it agrees with the dense route
+    to within 1e-13 * mu_0, with the same exact zeros (tested).
+    """
+    if n < 1:
+        raise ParameterError("truncation size must be >= 1")
+    if int(gamma) != gamma or gamma < 2:
+        raise ParameterError(f"gamma must be an integer >= 2, got {gamma}")
+    gamma = int(gamma)
+    powers = [1]
+    while powers[-1] * gamma <= n:
+        powers.append(powers[-1] * gamma)
+    for k, v in a.coeffs.items():
+        if not 1 <= k < 2 * n:
+            continue
+        if k > n:
+            raise ParameterError(
+                f"mode {k} lies in (N, 2N) for N = {n}: H_N is not H_P (+) 0 with P <= N"
+            )
+        if k not in powers or v.imag != 0.0:
+            raise ParameterError(f"mode {k} is not a real level of a lacunary symbol at {gamma}")
+    mu = np.array([abs(a[1].real)])
+    for power in powers[1:]:
+        c = abs(a[power].real)
+        big = (mu + np.hypot(mu, 2.0 * c)) / 2.0
+        small = c * np.divide(c, big, out=np.zeros_like(big), where=big > 0)
+        mu = np.concatenate([big, small, np.full(power - 2 * mu.size, c)])
+    out = np.zeros(n)
+    out[: mu.size] = np.sort(mu)[::-1]
+    return SingularSpectrum(out)
 
 
 def weak_quasinorm(spectrum: SingularSpectrum, p: float) -> float:

@@ -143,11 +143,14 @@ def test_measurability_experiment_kinds():
 
 
 def test_singular_sweep_resource_cap():
+    # 6144 is not a power of 2, so the sweep takes the dense route and its cap
     config = ExperimentConfig(
-        "SingularValueSweep", {"alpha": 0.5, "gamma": 2, "N": 8192}
+        "SingularValueSweep", {"alpha": 0.5, "gamma": 2, "N": 6144}
     )
     with pytest.raises(ResourceLimitError):
         run_experiment(config)
+    beyond_the_cap = ExperimentConfig("SingularValueSweep", {"alpha": 0.5, "gamma": 2, "N": 8192})
+    assert run_experiment(beyond_the_cap).inputs["k_hi"] == 512
     small = ExperimentConfig(
         "SingularValueSweep",
         {"alpha": 0.5, "gamma": 2, "N": 128, "k_lo": 4, "k_hi": 32},
@@ -214,6 +217,17 @@ def test_hn_derivative_overflow_exits_2_before_any_route(tmp_path, capsys):
     assert "(N+m-1)!/N! overflow float64" in _stderr_line(capsys)
 
 
+def test_hn_horner_overflow_exits_2_before_the_binomial_route(tmp_path, capsys, monkeypatch):
+    # (N+m-1)!/N! fits float64 at m = 94, but the derivative Horner sum does not
+    def binomial_route(*args):
+        raise AssertionError("the binomial route ran")
+
+    monkeypatch.setattr(cli.cf, "sphere_kernel", binomial_route)
+    argv = ["hn", "--N", "2000", "--m-max", "94", "--t-points", "4"]
+    assert main([*argv, "--out", str(tmp_path / "x.json")]) == 2
+    assert "derivative route overflows float64" in _stderr_line(capsys)
+
+
 def test_report_refuses_non_finite_numbers():
     report = Report(kind="x")
     for add in (
@@ -241,6 +255,7 @@ OVERSIZED = {
     "winding-N": (["winding", "--a", "z^3", "--N", "2**200"], 2),
     "weierstrass-trace": (["weierstrass-trace", "--gamma", "2", "--N", "2**200"], 2),
     "nctorus": (["nctorus", "--config", "torus.json"], 3),
+    "singular-sweep": (["singular-sweep", "--N", "2**24"], 3),
 }
 TORUS_2_30 = {"n": 2, "N": "2**30", "symbols": [{"pair": [1, 0]}, {"pair": [0, 1]}]}
 
@@ -322,7 +337,7 @@ def test_main_exit_codes(tmp_path, capsys):
     assert code == 0
     assert json.loads(out.read_text())["kind"] == "HnCheck"
     assert main(["weierstrass-trace", "--alpha", "0.4", "--out", str(out)]) == 2
-    assert main(["singular-sweep", "--N", "8192", "--out", str(out)]) == 3
+    assert main(["singular-sweep", "--N", "6144", "--out", str(out)]) == 3
     capsys.readouterr()
 
 

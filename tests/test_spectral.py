@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from circletrace import cli
+from circletrace.cli import ExperimentConfig, run_experiment
 from circletrace.errors import ParameterError
 from circletrace.fourier import (
     CoefficientRule,
@@ -24,6 +26,7 @@ from circletrace.spectral import (
     SingularSpectrum,
     decay_slope,
     hermitian_eigenvalues,
+    lacunary_hankel_spectrum,
     singular_values,
     weak_quasinorm,
 )
@@ -239,3 +242,91 @@ def test_operator_dtype_follows_its_entries():
     assert _real_hankel(16).matrix.dtype == np.float64
     assert _low_rank_hankel(16).matrix.dtype == np.float64
     assert _complex_symmetric_hankel(16).matrix.dtype == np.complex128
+
+
+LACUNARY_RULES = {
+    "constant": CoefficientRule.constant(1.0),
+    "block-indicator:2": CoefficientRule.block_indicator(2),
+    "sqrt-log-cos": CoefficientRule.sqrt_log_cos(),
+    "periodic, negative head": CoefficientRule.from_head((-1.5, 0.5, 2.0), "periodic"),
+}
+
+
+def _closed_vs_dense(gamma, n, rule, alpha):
+    a = weierstrass_symbol(WeierstrassParams(alpha, gamma, LACUNARY_RULES[rule]), 2 * n)
+    dense = singular_values(hankel_matrix(a, n)).mu
+    closed = lacunary_hankel_spectrum(a, gamma, n).mu
+    assert closed.shape == (n,)
+    assert np.max(np.abs(closed - dense)) <= 1e-13 * dense[0]
+    assert np.count_nonzero(closed == 0.0) == np.count_nonzero(dense == 0.0)
+
+
+# Every rule and alpha at each N = gamma^m <= 1024 and at the gap-free N = 1000
+# and 1024 for gamma = 3 (no power of 3 in (N, 2N)); above 1024 the dense
+# oracle costs seconds, so each larger N = gamma^m takes one rule and alpha.
+@pytest.mark.parametrize(
+    "gamma, n",
+    [(g, g**m) for g in (2, 3, 5) for m in range(11) if g**m <= 1024] + [(3, 1000), (3, 1024)],
+)
+def test_lacunary_spectrum_matches_dense_route(gamma, n):
+    for rule in LACUNARY_RULES:
+        for alpha in (0.3, 0.5, 0.7):
+            _closed_vs_dense(gamma, n, rule, alpha)
+
+
+@pytest.mark.parametrize(
+    "gamma, n, rule, alpha",
+    [
+        (2, 2048, "constant", 0.3),
+        (3, 2187, "periodic, negative head", 0.5),
+        (5, 3125, "sqrt-log-cos", 0.7),
+        (2, 4096, "block-indicator:2", 0.5),
+    ],
+)
+def test_lacunary_spectrum_matches_dense_route_up_to_4096(gamma, n, rule, alpha):
+    _closed_vs_dense(gamma, n, rule, alpha)
+
+
+def test_lacunary_spectrum_ignores_modes_outside_the_block():
+    # modes <= 0 and >= 2N never enter H_N = [a_{l+i+1}]
+    a = FourierSymbol({-3: 1.0, 0: 5.0, 1: 2.0, 4: -1.0, 8: 7.0, 9: 1j})
+    closed = lacunary_hankel_spectrum(a, 2, 4).mu
+    assert np.max(np.abs(closed - singular_values(hankel_matrix(a, 4)).mu)) <= 1e-13 * closed[0]
+
+
+def test_lacunary_spectrum_frobenius_identity_at_2_to_20():
+    n = 2**20
+    a = weierstrass_symbol(WeierstrassParams(0.5, 2, CoefficientRule.constant(1.0)), 2 * n)
+    mu = lacunary_hankel_spectrum(a, 2, n).mu
+    frobenius = sum(min(k, 2 * n - k) * abs(v) ** 2 for k, v in a.coeffs.items() if 1 <= k < 2 * n)
+    assert mu.shape == (n,)
+    assert abs(np.sum(mu**2) - frobenius) <= 1e-12 * frobenius
+
+
+@pytest.mark.parametrize(
+    "a, gamma, n",
+    [
+        (weierstrass_symbol(WeierstrassParams(0.5, 2, LACUNARY_RULES["constant"]), 2000), 2, 1000),
+        (FourierSymbol({1: 1.0, 3: 1.0}), 2, 4),  # 3 is not a power of 2
+        (FourierSymbol({1: 1.0, 2: 0.5j}), 2, 4),  # a complex level
+        (FourierSymbol({1: 1.0}), 1, 4),
+        (FourierSymbol({1: 1.0}), 2, 0),
+    ],
+    ids=["power in (N, 2N)", "not a power", "complex", "gamma 1", "N 0"],
+)
+def test_lacunary_spectrum_rejects_other_symbols(a, gamma, n):
+    with pytest.raises(ParameterError):
+        lacunary_hankel_spectrum(a, gamma, n)
+
+
+@pytest.mark.parametrize("n, dense", [(2048, False), (1000, True)])
+def test_singular_sweep_builds_a_matrix_only_off_the_closed_form(n, dense, monkeypatch):
+    sizes = []
+
+    def counted(a, size):
+        sizes.append(size)
+        return hankel_matrix(a, size)
+
+    monkeypatch.setattr(cli, "hankel_matrix", counted)
+    run_experiment(ExperimentConfig("SingularValueSweep", {"alpha": 0.5, "gamma": 2, "N": n}))
+    assert sizes == ([n] if dense else [])
