@@ -5,7 +5,9 @@ operators, Hankel blocks and commutators [P, a], and products thereof.
 Matrices are dense arrays tagged with basis index maps so products can
 refuse mismatched bases instead of silently misaligning modes.  A matrix
 keeps the dtype its entries have: float64 for a real input (a Hankel block
-of real coefficients), complex128 otherwise.
+of real coefficients, the Szegő projection and reflection), complex128
+otherwise.  Products skip the rows, columns and inner indices where a factor
+is exactly zero.
 
 Truncation note: for a trig-polynomial symbol of degree d, entries of a
 product of two truncated commutators are exact on rows/columns whose mode
@@ -86,6 +88,10 @@ def full_basis(n: int) -> BasisIndexMap:
     return BasisIndexMap(OrderingRule.FULL_BY_MODULUS, 2 * n + 1)
 
 
+class _Fresh(np.ndarray):
+    """An array a builder has just allocated, which an operator keeps uncopied."""
+
+
 @dataclass(frozen=True)
 class TruncatedOperator:
     matrix: np.ndarray
@@ -93,7 +99,11 @@ class TruncatedOperator:
     col_basis: BasisIndexMap
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
+        mat = self.matrix
+        if type(mat) is _Fresh:
+            mat = mat.view(np.ndarray)
+        else:  # a caller's array is copied, and stays writeable
+            mat = np.array(mat, dtype=complex if np.iscomplexobj(mat) else float)
         if mat.ndim != 2:
             raise ParameterError("operator matrix must be 2-d")
         if mat.shape != (self.row_basis.size, self.col_basis.size):
@@ -116,6 +126,15 @@ class TruncatedOperator:
         if self.row_basis != self.col_basis:
             raise BasisMismatchError("trace needs identical row and column bases")
         return complex(np.trace(self.matrix))
+
+
+def _adopt(
+    mat: np.ndarray, row_basis: BasisIndexMap, col_basis: BasisIndexMap
+) -> TruncatedOperator:
+    """Operator over a float64 or complex128 array a builder has just allocated:
+    checked and frozen like any input, but not copied."""
+    mat.setflags(write=False)  # the operator's matrix is a view of it
+    return TruncatedOperator(mat.view(_Fresh), row_basis, col_basis)
 
 
 def _coeff_lookup(a: FourierSymbol, lo: int, hi: int) -> np.ndarray:
@@ -176,7 +195,7 @@ def commutator_matrix(a: FourierSymbol, n: int) -> TruncatedOperator:
         for j, (cols, col_modes) in enumerate(groups):
             sign = float(j - i)  # 1_{m>=0} - 1_{l>=0}
             out[np.ix_(rows, cols)] = _toeplitz(sign * vec)[row_modes, col_modes]
-    return TruncatedOperator(out, basis, basis)
+    return _adopt(out, basis, basis)
 
 
 def multiplication_matrix(a: FourierSymbol, basis: BasisIndexMap) -> TruncatedOperator:
@@ -187,16 +206,13 @@ def multiplication_matrix(a: FourierSymbol, basis: BasisIndexMap) -> TruncatedOp
     lo = int(labels.min())
     span = int(labels.max()) - lo
     idx = labels - lo
-    return TruncatedOperator(
-        _toeplitz(_coeff_lookup(a, -span, span))[np.ix_(idx, idx)], basis, basis
-    )
+    return _adopt(_toeplitz(_coeff_lookup(a, -span, span))[np.ix_(idx, idx)], basis, basis)
 
 
 def szego_projection(n: int) -> TruncatedOperator:
     """P on modes -n..n: diagonal 1 on modes >= 0, 0 below."""
     basis = full_basis(n)
-    diag = (basis.labels >= 0).astype(complex)
-    return TruncatedOperator(np.diag(diag), basis, basis)
+    return _adopt(np.diag((basis.labels >= 0).astype(float)), basis, basis)
 
 
 def szego_reflection(n: int) -> TruncatedOperator:
@@ -204,12 +220,19 @@ def szego_reflection(n: int) -> TruncatedOperator:
     if n < 1:
         raise ParameterError("truncation size must be >= 1")
     basis = full_basis(n)
-    diag = np.where(basis.labels >= 0, 1.0, -1.0).astype(complex)
-    return TruncatedOperator(np.diag(diag), basis, basis)
+    return _adopt(np.diag(np.where(basis.labels >= 0, 1.0, -1.0)), basis, basis)
 
 
 def operator_product(ops: list[TruncatedOperator]) -> TruncatedOperator:
-    """Matrix product in the given order; adjacent bases must match exactly."""
+    """Matrix product in the given order; adjacent bases must match exactly.
+
+    The running product is kept as its block on the rows and columns that
+    can be nonzero.  Each step multiplies the rows of that block and the
+    columns of the next factor that are not all zero, over the inner indices
+    nonzero on both sides; entries are finite, so every skipped term is an
+    exact zero.  A factor with nothing to trim is multiplied as it is,
+    without a gather copy, and only the result is allocated at full size.
+    """
     if not ops:
         raise ParameterError("operator product needs at least one factor")
     for left, right in zip(ops, ops[1:]):
@@ -219,10 +242,23 @@ def operator_product(ops: list[TruncatedOperator]) -> TruncatedOperator:
                 f"{left.col_basis.ordering_rule.value}[{left.col_basis.size}] vs rows "
                 f"{right.row_basis.ordering_rule.value}[{right.row_basis.size}]"
             )
-    mat = ops[0].matrix
+    block = ops[0].matrix
+    rows, cols = np.arange(block.shape[0]), np.arange(block.shape[1])
     for op in ops[1:]:
-        mat = mat @ op.matrix
-    return TruncatedOperator(mat, ops[0].row_basis, ops[-1].col_basis)
+        right = op.matrix
+        keep = block.any(axis=1)
+        inner = block.any(axis=0) & right.any(axis=1)[cols]
+        right_cols = np.flatnonzero(right.any(axis=0))
+        if not (keep.all() and inner.all()):
+            block = block[np.ix_(keep, inner)]
+        if cols[inner].size < right.shape[0] or right_cols.size < right.shape[1]:
+            right = right[np.ix_(cols[inner], right_cols)]
+        block, rows, cols = block @ right, rows[keep], right_cols
+    mat, shape = block, (ops[0].shape[0], ops[-1].shape[1])
+    if block.shape != shape:
+        mat = np.zeros(shape, dtype=block.dtype)
+        mat[np.ix_(rows, cols)] = block
+    return _adopt(mat, ops[0].row_basis, ops[-1].col_basis)
 
 
 def compress(
@@ -239,7 +275,7 @@ def compress(
         cols = [col_at[k] for k in col_basis.labels.tolist()]
     except KeyError as exc:
         raise BasisMismatchError(f"compression label {exc} missing from operator basis") from None
-    return TruncatedOperator(op.matrix[np.ix_(rows, cols)], row_basis, col_basis)
+    return _adopt(op.matrix[np.ix_(rows, cols)], row_basis, col_basis)
 
 
 def hardy_compress(op: TruncatedOperator, size: int) -> TruncatedOperator:

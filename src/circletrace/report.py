@@ -137,12 +137,39 @@ def _flat_list(items: list) -> str | None:
     complex values (bools and numpy scalars excluded); None for other lists."""
     kinds = set(map(type, items))
     if kinds == {float}:
-        return "[" + ", ".join([f"{x:.17g}" for x in items]) + "]"
+        return "[" + ", ".join(_format_blocks("%.17g", ", ", items)) + "]"
     if kinds == {int}:
         return "[" + ", ".join(map(str, items)) + "]"
     if kinds == {complex}:
-        return "[" + ", ".join([f"[{z.real:.17g}, {z.imag:.17g}]" for z in items]) + "]"
+        parts = _parts(items)
+        blocks = _format_blocks("[%.17g, %.17g]", ", ", parts[:, 0], parts[:, 1])
+        return "[" + ", ".join(blocks) + "]"
     return None
+
+
+_ROW_BLOCK = 4096  # rows per % format: bounds the Python numbers alive at once
+
+
+def _format_blocks(row: str, sep: str, *columns) -> list[str]:
+    """``sep.join(row % cells for cells in zip(*columns))``, cut into blocks of
+    rows, each from one format string applied to a tuple of its cells."""
+    n, width = min(map(len, columns)), len(columns)
+    blocks = []
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        cells = [None] * (width * (hi - lo))
+        for j, column in enumerate(columns):
+            block = column[lo:hi]
+            cells[j::width] = block if isinstance(block, list) else block.tolist()
+        blocks.append(sep.join([row] * (hi - lo)) % tuple(cells))
+    return blocks
+
+
+def _parts(values) -> np.ndarray:
+    """(n, 2) real and imaginary parts of numbers or real [re, im] pairs, as
+    ``complex(value)`` or ``complex(re, im)`` gives them, signed zeros kept."""
+    parts = np.asarray(values, dtype=complex)
+    return parts.real if parts.ndim == 2 else parts.view(float).reshape(-1, 2)
 
 
 def emit_report(report: Report, fmt: str) -> bytes:
@@ -158,11 +185,11 @@ def emit_report(report: Report, fmt: str) -> bytes:
             z = complex(scalar["value"])
             lines.append(f"{_csv_name(scalar['expression'])},,{z.real:.17g},{z.imag:.17g}")
         for seq in report.sequences:
-            name = _csv_name(seq["name"])
-            for point, value in zip(seq["points"], seq["values"]):
-                z = complex(*value) if isinstance(value, list) else complex(value)
-                lines.append(f"{name},{point},{z.real:.17g},{z.imag:.17g}")
-        return ("\n".join(lines) + "\n").encode()
+            row = _csv_name(seq["name"]).replace("%", "%%") + ",%s,%.17g,%.17g"
+            parts = _parts(seq["values"])
+            lines.extend(_format_blocks(row, "\n", seq["points"], parts[:, 0], parts[:, 1]))
+        lines.append("")  # the final newline, without another copy of the text
+        return "\n".join(lines).encode()
     raise ParameterError(f"unknown report format {fmt!r}")
 
 

@@ -196,19 +196,53 @@ def test_multiplication_view_matches_gathered_build(make_basis):
         assert same_bits(multiplication_matrix(a, basis).matrix, gathered_multiplication(a, basis))
 
 
+def traced_peak(build):
+    """(result, peak bytes traced while building it)."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_builders_hold_no_entry_sized_temporaries():
-    a = random_symbol(np.random.default_rng(2), 4)
-    for build, copies in (
-        (lambda: hankel_matrix(a, 256), 1),  # the operator's own copy
-        (lambda: commutator_matrix(a, 128), 2),  # the filled blocks and that copy
+    # one full-size array per operator: the copy of the Hankel view, and the
+    # adopted arrays of every other builder (a builder's array was copied once
+    # more before, so a commutator at n = 512, 16.8 MB, peaked at twice that)
+    a = random_symbol(np.random.default_rng(2), 16)
+    comm = commutator_matrix(a, 256)
+    for build in (
+        lambda: hankel_matrix(a, 256),
+        lambda: commutator_matrix(a, 512),
+        lambda: multiplication_matrix(a, full_basis(256)),
+        lambda: szego_projection(256),
+        lambda: szego_reflection(256),
+        lambda: compress(comm, full_basis(256), full_basis(256)),
     ):
-        tracemalloc.start()
-        try:
-            op = build()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < (copies + 0.1) * op.matrix.nbytes
+        op, peak = traced_peak(build)
+        owner = op.matrix if op.matrix.base is None else op.matrix.base
+        assert type(op.matrix) is np.ndarray
+        assert not op.matrix.flags.writeable and not owner.flags.writeable
+        assert peak < 1.1 * op.matrix.nbytes
+
+
+def test_caller_arrays_are_copied_and_stay_writeable():
+    for caller in (np.arange(6.0).reshape(2, 3), np.ones((2, 3), dtype=complex)):
+        op = TruncatedOperator(caller, hardy_basis(2), hardy_basis(3))
+        assert caller.flags.writeable and not op.matrix.flags.writeable
+        before = op.matrix.copy()
+        caller[0, 0] = 7.0
+        assert np.array_equal(op.matrix, before) and op.matrix[0, 0] != 7.0
+
+
+def test_szego_operators_are_stored_real():
+    for op, diag in (
+        (szego_projection(2), [1, 1, 0, 1, 0]),
+        (szego_reflection(2), [1, 1, -1, 1, -1]),
+    ):
+        assert op.matrix.dtype == np.float64
+        assert np.array_equal(op.matrix, np.diag(np.array(diag, dtype=float)))
 
 
 def test_szego_reflection_properties():
@@ -409,3 +443,101 @@ def test_operator_validation():
     with pytest.raises(ParameterError):
         TruncatedOperator(np.array([[0, np.nan], [0, 0]]).T, hardy_basis(2), hardy_basis(2))
     assert TruncatedOperator(np.zeros((0, 2)), hardy_basis(0), hardy_basis(2)).shape == (0, 2)
+
+
+def dense_chain(mats):
+    """Plain successive @ over the given matrices."""
+    out = mats[0]
+    for mat in mats[1:]:
+        out = out @ mat
+    return out
+
+
+def assert_product_matches_dense(ops, bitwise=True):
+    """The zero-aware product against plain successive @ on unmodified copies.
+
+    ``bitwise``: equal bytes up to the sign of zero.  Where the dense route
+    sums only exact zeros, its sign follows the BLAS kernel (-0.0 on some
+    shapes with OpenBLAS) while a skipped block reads +0.0; adding +0.0
+    maps -0.0 to +0.0 and leaves every other entry's bits alone.
+
+    Otherwise the stated tolerance: a trimmed GEMM may take another kernel
+    path or grouping of the same nonzero terms, so an entry may move by
+    rounding, never beyond 2 (r - 1)(k + 2) eps |M_1| ... |M_r| for r factors
+    of inner size at most k (each route is within half of that of the exact
+    product).
+    """
+    before = [op.matrix.tobytes() for op in ops]
+    got = operator_product(ops).matrix
+    dense = dense_chain([op.matrix.copy() for op in ops])
+    assert got.dtype == dense.dtype and got.shape == dense.shape
+    if bitwise:
+        assert (got + 0.0).tobytes() == (dense + 0.0).tobytes()
+    else:
+        k = max(op.shape[0] for op in ops[1:])
+        scale = dense_chain([np.abs(op.matrix) for op in ops])
+        tol = 2 * (len(ops) - 1) * (k + 2) * np.finfo(float).eps * scale
+        assert np.all(np.abs(got - dense) <= tol)
+    assert [op.matrix.tobytes() for op in ops] == before
+    return got
+
+
+@pytest.mark.parametrize("n", [8, 64, 512])
+def test_residue_chain_product_matches_dense_route(n):
+    rng = np.random.default_rng(20 + n)
+    for degree in sorted({1, 4, min(16, n), min(40, n)}):
+        a, b = random_symbol(rng, degree), random_symbol(rng, degree)
+        p, ca, cb = szego_projection(n), commutator_matrix(a, n), commutator_matrix(b, n)
+        # each entry of P [P,a] is one exact product 1 * x: bit for bit on any BLAS
+        assert assert_product_matches_dense([p, ca]).dtype == np.complex128
+        # the full chain sums up to 2 * degree terms per entry (bit for bit
+        # with OpenBLAS 0.3 for degree <= 32, a few ulps apart beyond)
+        assert_product_matches_dense([p, ca, cb], bitwise=False)
+
+
+def test_product_with_nothing_to_trim_is_the_dense_product():
+    n = 16
+    a = random_symbol(np.random.default_rng(7), 2 * n)
+    chain = [szego_reflection(n), multiplication_matrix(a, full_basis(n))]
+    assert chain[1].matrix.all()  # no zero row, column or inner index
+    got = assert_product_matches_dense(chain)
+    assert got.tobytes() == dense_chain([op.matrix for op in chain]).tobytes()
+
+
+def test_product_with_an_all_zero_factor():
+    n = 8
+    zero = commutator_matrix(constant_symbol(3.0), n)
+    a = random_symbol(np.random.default_rng(8), 3)
+    for chain in (
+        [szego_projection(n), zero],
+        [commutator_matrix(a, n), zero, szego_reflection(n)],
+    ):
+        assert not assert_product_matches_dense(chain).any()
+
+
+def test_product_over_rectangular_bases():
+    rng = np.random.default_rng(9)
+    n = 12
+    a, b = random_symbol(rng, 5), random_symbol(rng, 5)
+    mult = multiplication_matrix(b, full_basis(n))
+    down = compress(mult, antiholomorphic_basis(n), hardy_basis(n))
+    across = compress(mult, hardy_basis(n), antiholomorphic_basis(n))
+    real = hankel_matrix(FourierSymbol({1: 2.0, 3: -1.0}), n)
+    assert_product_matches_dense([hankel_matrix(a, n), down], bitwise=False)
+    assert_product_matches_dense([hankel_matrix(a, n), down, across], bitwise=False)
+    assert assert_product_matches_dense([real, down], bitwise=False).shape == (n, n)
+    back = TruncatedOperator(real.matrix.T, antiholomorphic_basis(n), hardy_basis(n))
+    assert assert_product_matches_dense([real, back], bitwise=False).dtype == np.float64
+
+
+def test_single_factor_product_keeps_matrix_and_dtype():
+    for op in (
+        szego_projection(3),
+        commutator_matrix(mode_symbol(2), 3),
+        hankel_matrix(mode_symbol(3), 4),
+    ):
+        prod = operator_product([op])
+        assert prod.matrix.dtype == op.matrix.dtype
+        assert prod.matrix.tobytes() == op.matrix.tobytes()
+        assert (prod.row_basis, prod.col_basis) == (op.row_basis, op.col_basis)
+    assert operator_product([szego_reflection(3), szego_projection(3)]).matrix.dtype == np.float64

@@ -12,6 +12,12 @@ LISTS = [
     [0, -1, 7, 2**53 + 1, 2**63, 2**64 + 1, -(2**70)],
     [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(1e308, 5e-324), 1j],
     [-0.0],
+    [0.0, -0.0, -0.0, 0.0, 1.0, -1.0],
+    [complex(2.5, 0.0), complex(-2.5, -0.0), complex(0.0, 0.0), complex(-0.0, 1e-300)],
+    [complex(1.0, 0.0)] * 5,
+    # more than one block of rows per format string
+    [(-1.0) ** k * k / 3 for k in range(2 * 4096 + 3)],
+    [complex(k / 7, -0.0 if k % 3 else 0.0) for k in range(4096 + 1)],
     [2**63],
     [True, 1],
     [1, True],
@@ -55,6 +61,16 @@ def test_csv_rows_equal_the_per_cell_formula():
     report.add_scalar("plain", 1.0 - 2.0j)
     report.add_sequence("re,al", "x", "y", [1, 2, 3], [5e-324, -0.0, 1e308])
     report.add_sequence('c"x', "x", "y", [4, 5], [complex(-0.0, -0.0), 1j])
+    report.add_sequence(
+        "50%,%s %d %%", "x", "y", [0, 1, 2], [complex(-0.0, 0.0), complex(3.0, -0.0), -2.0]
+    )
+    report.add_sequence("%.17g", "x", "y", [7, 8, 9], [-0.0, 0.0, 2.5])
+    report.add_sequence("ints", "x", "y", [1.5, 2.5], [3, -4])
+    report.add_sequence("empty", "x", "y", [], [])
+    long = range(4096 + 5)  # more than one block of rows
+    report.add_sequence("long", "x", "y", list(long), [k * 1j - k for k in long])
+    report.sequences.append({"name": "short", "points": [0, 1, 2], "values": [1.0, -0.0]})
+    report.sequences.append({"name": "few", "points": [0], "values": [[1.0, -0.0], [2.0, 3.0]]})
     report.sequences.append(
         {"name": "pairs", "points": [0, 1], "values": [[1.0, -0.0], [2.0, 3.0]]}
     )
