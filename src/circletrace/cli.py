@@ -408,6 +408,10 @@ def _run_measurability(limits: Limits, *, N, policy, entries, label, gamma, c, d
 def _run_singular_sweep(limits: Limits, *, alpha, gamma, c, N, p, k_lo, k_hi) -> Report:
     if N > limits.max_tuples:
         raise ResourceLimitError(f"{N} singular values exceed {limits.max_tuples}")
+    if k_hi is not None:  # the window is known before the spectrum of N values: check it
+        k_lo = _default_k_lo(k_lo, k_hi)
+        if not 1 <= k_lo < k_hi <= N:
+            raise ParameterError(f"window [{k_lo}, {k_hi}) out of range for spectrum of length {N}")
     symbol = weierstrass_symbol(WeierstrassParams(alpha=alpha, gamma=gamma, c=c), 2 * N)
     # Every mode is a real power of gamma, so with none in (N, 2N) the block is
     # H_P (+) 0 and its spectrum is closed form; otherwise the dense route.
@@ -419,8 +423,7 @@ def _run_singular_sweep(limits: Limits, *, alpha, gamma, c, N, p, k_lo, k_hi) ->
         spectrum = singular_values(hankel_matrix(symbol, N))
     if k_hi is None:
         k_hi = min(512, N // 4, int(np.count_nonzero(spectrum.mu > 0)))
-    if k_lo is None:  # 16, unless that leaves fewer than two indices below k_hi
-        k_lo = 16 if k_hi - 16 >= 2 else max(1, k_hi // 2)
+        k_lo = _default_k_lo(k_lo, k_hi)
     report = Report(kind="SingularValueSweep")
     report.inputs = dict(alpha=alpha, gamma=gamma, N=N, c=_rule_json(c), p=p, k_lo=k_lo, k_hi=k_hi)
     mu, expression = spectrum.mu, "singular values of P W (1-P) truncated"
@@ -430,6 +433,13 @@ def _run_singular_sweep(limits: Limits, *, alpha, gamma, c, N, p, k_lo, k_hi) ->
         "log-log decay slope", decay_slope(spectrum, k_lo, k_hi), f"window [{k_lo},{k_hi})"
     )
     return report
+
+
+def _default_k_lo(k_lo: int | None, k_hi: int) -> int:
+    """16, unless that leaves fewer than two indices below k_hi."""
+    if k_lo is not None:
+        return k_lo
+    return 16 if k_hi - 16 >= 2 else max(1, k_hi // 2)
 
 
 _A = Param("a", symbol_from_obj, arg=symbol_from_arg, help="inline JSON, z^k or a JSON file")

@@ -268,14 +268,23 @@ def compress(
 
     A label absent from the operator's basis raises BasisMismatchError naming it.
     """
-    row_at = {k: i for i, k in enumerate(op.row_basis.labels.tolist())}
-    col_at = {k: i for i, k in enumerate(op.col_basis.labels.tolist())}
-    try:
-        rows = [row_at[k] for k in row_basis.labels.tolist()]
-        cols = [col_at[k] for k in col_basis.labels.tolist()]
-    except KeyError as exc:
-        raise BasisMismatchError(f"compression label {exc} missing from operator basis") from None
+    rows = _positions(op.row_basis.labels, row_basis.labels)
+    cols = _positions(op.col_basis.labels, col_basis.labels)
     return _adopt(op.matrix[np.ix_(rows, cols)], row_basis, col_basis)
+
+
+def _positions(labels: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Index in ``labels`` (distinct) of each of ``wanted``, from one argsort and
+    one searchsorted; the first wanted label not in ``labels`` raises."""
+    order = np.argsort(labels)
+    ranked = labels[order]
+    at = np.searchsorted(ranked, wanted)
+    found = at < ranked.size
+    found[found] = ranked[at[found]] == wanted[found]
+    if not found.all():
+        missing = wanted[np.argmin(found)]
+        raise BasisMismatchError(f"compression label {missing} missing from operator basis")
+    return order[at]
 
 
 def hardy_compress(op: TruncatedOperator, size: int) -> TruncatedOperator:

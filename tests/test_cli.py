@@ -178,6 +178,26 @@ def test_singular_sweep_default_window_on_small_truncations(n, window, tmp_path)
     assert slope["normalization"] == f"window {window}"
 
 
+@pytest.mark.parametrize(
+    "flags, window",
+    [
+        (["--k-lo", "0", "--k-hi", "8"], "[0, 8)"),
+        (["--k-lo", "8", "--k-hi", "8"], "[8, 8)"),
+        (["--k-lo", "1", "--k-hi", "4097"], "[1, 4097)"),
+        (["--k-hi", "1"], "[1, 1)"),  # the default k_lo of k_hi = 1
+    ],
+)
+def test_singular_sweep_window_is_checked_before_the_spectrum(flags, window, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectrum work for a window that cannot fit it")
+
+    for route in ("lacunary_hankel_spectrum", "singular_values", "hankel_matrix"):
+        monkeypatch.setattr(cli, route, refuse)
+    assert main(["singular-sweep", "--N", "4096", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err == f"parameter error: window {window} out of range for spectrum of length 4096\n"
+
+
 def test_kernel_check_at_the_matrix_cap_runs(tmp_path):
     out = tmp_path / "kernel.json"
     argv = ["kernel-check", "--a", "z^1", "--b", "z^-1", "--N", "4096"]

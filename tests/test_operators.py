@@ -422,6 +422,38 @@ def test_compress_selects_labels_of_full_basis():
         compress(mult, hardy_basis(n), antiholomorphic_basis(n + 1))
 
 
+def _lookup_compress(op, row_basis, col_basis):
+    """Reference compression, one label at a time: the sub-matrix, or the first
+    missing label, rows before columns."""
+    row_at = {k: i for i, k in enumerate(op.row_basis.labels.tolist())}
+    col_at = {k: i for i, k in enumerate(op.col_basis.labels.tolist())}
+    wanted = [(row_at, row_basis), (col_at, col_basis)]
+    for at, basis in wanted:
+        for k in basis.labels.tolist():
+            if k not in at:
+                return k
+    rows, cols = ([at[k] for k in basis.labels.tolist()] for at, basis in wanted)
+    return op.matrix[np.ix_(rows, cols)]
+
+
+@pytest.mark.parametrize("op_rule", list(OrderingRule))
+def test_compress_matches_label_lookup_for_every_ordering(op_rule):
+    rng = np.random.default_rng(9)
+    op = multiplication_matrix(random_symbol(rng, 3), BasisIndexMap(op_rule, 9))
+    for row_rule, col_rule in [(r, c) for r in OrderingRule for c in OrderingRule]:
+        for row_size, col_size in [(0, 0), (3, 5), (5, 3), (9, 9), (10, 2), (2, 10)]:
+            rows, cols = BasisIndexMap(row_rule, row_size), BasisIndexMap(col_rule, col_size)
+            expected = _lookup_compress(op, rows, cols)
+            if isinstance(expected, int):
+                message = f"compression label {expected} missing from operator basis"
+                with pytest.raises(BasisMismatchError, match=f"^{message}$"):
+                    compress(op, rows, cols)
+            else:
+                block = compress(op, rows, cols)
+                assert (block.row_basis, block.col_basis) == (rows, cols)
+                assert np.array_equal(block.matrix, expected)
+
+
 def test_operator_dump_is_plain_json():
     rng = np.random.default_rng(5)
     obj = operator_to_json_obj(commutator_matrix(random_symbol(rng, 2), 3))

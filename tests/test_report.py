@@ -1,9 +1,30 @@
-import io
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from circletrace.report import Report, _csv_name, _write_json, emit_report, format_float
+from circletrace import report as report_module
+from circletrace.report import (
+    _BLOCK,
+    _VECTOR_MIN,
+    Report,
+    _csv_name,
+    _rows,
+    _write_json,
+    emit_report,
+    format_float,
+)
+
+
+def mixed_floats(n: int, seed: int = 11) -> list:
+    """Fast lanes with every kind of fallback lane spread among them: exact
+    ties, |x| beyond 1e280 or below 1e-280, subnormals, and signed zeros."""
+    values = (1.5 + 4 * np.random.default_rng(seed).random(n)).tolist()
+    specials = [123456789012345.625, -123456789012345.875, 1e300, -1e-300, 5e-324,
+                -2.5e-310, -0.0, 0.0, 1e16, -1e-5, 2.0**-1074 * 3, 1e280]
+    for i, value in enumerate(specials):
+        values[i * (n // len(specials))] = value
+    return values
 
 # Lists the one-join path formats (all exactly float, int or complex) and
 # lists it must leave to the element-by-element path.
@@ -15,9 +36,16 @@ LISTS = [
     [0.0, -0.0, -0.0, 0.0, 1.0, -1.0],
     [complex(2.5, 0.0), complex(-2.5, -0.0), complex(0.0, 0.0), complex(-0.0, 1e-300)],
     [complex(1.0, 0.0)] * 5,
-    # more than one block of rows per format string
-    [(-1.0) ** k * k / 3 for k in range(2 * 4096 + 3)],
-    [complex(k / 7, -0.0 if k % 3 else 0.0) for k in range(4096 + 1)],
+    # more than one block of rows, and lists either side of the vectorized route
+    [(-1.0) ** k * k / 3 for k in range(2 * _BLOCK + 3)],
+    [complex(k / 7, -0.0 if k % 3 else 0.0) for k in range(_BLOCK + 1)],
+    mixed_floats(2 * _BLOCK + 5),
+    [complex(re, im) for re, im in zip(mixed_floats(_BLOCK + 9), mixed_floats(_BLOCK + 9, 12)[::-1])],
+    mixed_floats(_VECTOR_MIN),
+    mixed_floats(_VECTOR_MIN - 1),
+    list(range(-_BLOCK, _BLOCK + 3)),
+    [2**53 - 1, -(2**53) + 1, 0] * _VECTOR_MIN,
+    [2**53, 2**63, -(2**70), 7] * _VECTOR_MIN,
     [2**63],
     [True, 1],
     [1, True],
@@ -38,9 +66,9 @@ LISTS = [
 
 
 def written(obj) -> str:
-    out = io.StringIO()
-    _write_json(obj, out)
-    return out.getvalue()
+    chunks = []
+    _write_json(obj, chunks.append)
+    return b"".join(chunks).decode()
 
 
 @pytest.mark.parametrize("items", LISTS, ids=range(len(LISTS)))
@@ -67,8 +95,14 @@ def test_csv_rows_equal_the_per_cell_formula():
     report.add_sequence("%.17g", "x", "y", [7, 8, 9], [-0.0, 0.0, 2.5])
     report.add_sequence("ints", "x", "y", [1.5, 2.5], [3, -4])
     report.add_sequence("empty", "x", "y", [], [])
-    long = range(4096 + 5)  # more than one block of rows
+    long = range(_BLOCK + 5)  # more than one block of rows
     report.add_sequence("long", "x", "y", list(long), [k * 1j - k for k in long])
+    mixed = mixed_floats(2 * _BLOCK + 7)
+    report.add_sequence("mixed", "x", "y", list(range(len(mixed))), mixed)
+    both = [complex(re, im) for re, im in zip(mixed, mixed[::-1])]
+    report.add_sequence("nul\x00 é,", "x", "y", list(range(-len(both), 0)), both)
+    report.add_sequence("thirds", "x", "y", [k / 3 for k in range(_BLOCK + 1)], mixed[: _BLOCK + 1])
+    report.add_sequence("huge", "x", "y", [2**60 + k for k in range(_VECTOR_MIN)], mixed[:_VECTOR_MIN])
     report.sequences.append({"name": "short", "points": [0, 1, 2], "values": [1.0, -0.0]})
     report.sequences.append({"name": "few", "points": [0], "values": [[1.0, -0.0], [2.0, 3.0]]})
     report.sequences.append(
@@ -83,3 +117,82 @@ def test_csv_rows_equal_the_per_cell_formula():
             z = complex(*value) if isinstance(value, list) else complex(value)
             lines.append(",".join([_csv_name(seq["name"]), str(point), format_float(z.real), format_float(z.imag)]))
     assert emit_report(report, "csv") == ("\n".join(lines) + "\n").encode()
+
+
+def vector_lines(values) -> list[str]:
+    """``'%.17g'`` of each value by the vectorized route, repeated up to the
+    size that takes it."""
+    values = np.resize(np.asarray(values, dtype=float), max(len(values), _VECTOR_MIN))
+    chunks = []
+    _rows([("%.17g", values)], "\n", chunks.append)
+    return b"".join(chunks).decode().split("\n")
+
+
+def percent_lines(values) -> list[str]:
+    values = np.resize(np.asarray(values, dtype=float), max(len(values), _VECTOR_MIN))
+    return ["%.17g" % v for v in values.tolist()]
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=300))
+def test_vector_format_equals_percent_format(values):
+    assert vector_lines(values) == percent_lines(values)
+
+
+def _hard_cases() -> list[float]:
+    cases = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    centres = [float(f"1e{k}") for k in range(-323, 309)]
+    centres += [2.0**k for k in range(-1074, 1024)]
+    centres += [1e-5, 1e-4, 1e16, 1e17]  # where %g switches between layouts
+    for x in centres:
+        cases += [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+    return cases + [-x for x in cases]
+
+
+def test_vector_format_hard_cases():
+    cases = _hard_cases()
+    assert vector_lines(cases) == percent_lines(cases)
+
+
+def test_exact_ties_round_half_even():
+    assert vector_lines([123456789012345.625, -123456789012345.875])[:2] == [
+        "123456789012345.62",
+        "-123456789012345.88",
+    ]
+
+
+def _count_fallback_lanes(monkeypatch) -> list:
+    lanes = []
+    percent = report_module._percent_cells
+
+    def counted(x):
+        lanes.append(x.size)
+        return percent(x)
+
+    monkeypatch.setattr(report_module, "_percent_cells", counted)
+    return lanes
+
+
+def test_fast_path_takes_uniform_values(monkeypatch):
+    lanes = _count_fallback_lanes(monkeypatch)
+    values = 1.5 + 4 * np.random.default_rng(3).random(2**17)
+    assert vector_lines(values) == percent_lines(values)
+    assert lanes == []
+
+
+def test_fast_path_takes_a_real_pairing_trace(monkeypatch):
+    """b = conj(a) makes every partial sum real up to rounding: the imaginary
+    parts are tiny (about -1e-16) and all distinct, and none falls back."""
+    from circletrace.cli import ExperimentConfig, run_experiment
+
+    rng = np.random.default_rng(4)
+    a = {k: complex(*rng.uniform(-1.0, 1.0, 2)) for k in range(-16, 17)}
+    modes = lambda c: {"modes": [[k, c[k].real, c[k].imag] for k in sorted(c)]}
+    b = {-k: v.conjugate() for k, v in a.items()}
+    params = {"a": modes(a), "b": modes(b), "N": 2**17}
+    values = run_experiment(ExperimentConfig("FourierTrace", params)).sequences[0]["values"]
+    imaginary = np.asarray(values).imag
+    assert 0 < np.abs(imaginary).max() < 1e-14
+    lanes = _count_fallback_lanes(monkeypatch)
+    assert vector_lines(imaginary) == percent_lines(imaginary)
+    assert lanes == []
