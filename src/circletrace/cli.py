@@ -384,7 +384,8 @@ def _run_measurability(limits: Limits, *, N, policy, entries, label, gamma, c, d
         label, gamma, c, d = (entry[key] for key in ("label", "gamma", "c", "d"))
         echo = {"label": label, "gamma": gamma, "c": _rule_json(c), "d": _rule_json(d)}
         report.inputs["entries"].append(echo)
-        product = c.values(N + 1) * d.values(N + 1)
+        values = c.values(N + 1)
+        product = values * (values if d is c else d.values(N + 1))  # d defaults to c itself
         verdict = classify_limit(cesaro_mean(product), policy)
         report.scalars.append(
             {
@@ -408,10 +409,14 @@ def _run_measurability(limits: Limits, *, N, policy, entries, label, gamma, c, d
 def _run_singular_sweep(limits: Limits, *, alpha, gamma, c, N, p, k_lo, k_hi) -> Report:
     if N > limits.max_tuples:
         raise ResourceLimitError(f"{N} singular values exceed {limits.max_tuples}")
-    if k_hi is not None:  # the window is known before the spectrum of N values: check it
-        k_lo = _default_k_lo(k_lo, k_hi)
-        if not 1 <= k_lo < k_hi <= N:
-            raise ParameterError(f"window [{k_lo}, {k_hi}) out of range for spectrum of length {N}")
+    # An explicit window is checked before the spectrum of N values: the default
+    # k_hi is the rank capped at min(512, N/4), so a k_lo the cap refuses fails for every rank.
+    cap = min(512, N // 4)
+    if k_lo is not None or k_hi is not None:
+        hi = cap if k_hi is None else k_hi
+        lo = _default_k_lo(k_lo, hi)
+        if not 1 <= lo < hi <= N:
+            raise ParameterError(f"window [{lo}, {hi}) out of range for spectrum of length {N}")
     symbol = weierstrass_symbol(WeierstrassParams(alpha=alpha, gamma=gamma, c=c), 2 * N)
     # Every mode is a real power of gamma, so with none in (N, 2N) the block is
     # H_P (+) 0 and its spectrum is closed form; otherwise the dense route.
@@ -422,8 +427,8 @@ def _run_singular_sweep(limits: Limits, *, alpha, gamma, c, N, p, k_lo, k_hi) ->
     else:
         spectrum = singular_values(hankel_matrix(symbol, N))
     if k_hi is None:
-        k_hi = min(512, N // 4, int(np.count_nonzero(spectrum.mu > 0)))
-        k_lo = _default_k_lo(k_lo, k_hi)
+        k_hi = min(cap, int(np.count_nonzero(spectrum.mu > 0)))
+    k_lo = _default_k_lo(k_lo, k_hi)
     report = Report(kind="SingularValueSweep")
     report.inputs = dict(alpha=alpha, gamma=gamma, N=N, c=_rule_json(c), p=p, k_lo=k_lo, k_hi=k_hi)
     mu, expression = spectrum.mu, "singular values of P W (1-P) truncated"
@@ -551,12 +556,10 @@ def _run_hn_check(limits: Limits, *, m_max, N, t_points) -> Report:
     report = Report(kind="HnCheck")
     report.inputs = {"m_max": m_max, "N": N, "t_points": t_points}
     orders = range(1, m_max + 1)
-    # the derivative route first: it refuses products beyond float64 before any work,
-    # and a Horner sum beyond float64 is refused before the binomial route runs
-    derivative_form = cf.sphere_kernel_derivative(t_grid, N, orders)
+    # refuses derivative products beyond float64 before any work
+    binom_form, derivative_form = cf.sphere_kernel_routes(t_grid, N, orders)
     if not np.isfinite(derivative_form).all():
         raise ParameterError(f"derivative route overflows float64 at N = {N}, m up to {m_max}")
-    binom_form = cf.sphere_kernel(t_grid, N, orders)
     gaps = np.max(np.abs(binom_form - derivative_form), axis=1)
     worst = 0.0
     for m, gap in zip(orders, gaps.tolist()):

@@ -16,9 +16,9 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import ParameterError
 from .fourier import (
@@ -41,6 +41,7 @@ __all__ = [
     "integral_trace",
     "sphere_kernel",
     "sphere_kernel_derivative",
+    "sphere_kernel_routes",
     "winding_trace",
     "winding_report",
     "invert_symbol",
@@ -172,11 +173,20 @@ def weierstrass_trace(
 _KERNEL_SWITCH = 2.0**-20
 
 
-def _ramp_horner(w: np.ndarray, n_trunc: int) -> np.ndarray:
-    """sum_{k=0}^{N} (k+1) w^k by Horner's rule, for w near the pole w = 1."""
-    acc = np.full(w.shape, n_trunc + 1.0, dtype=complex)
-    for k in range(n_trunc - 1, -1, -1):
-        acc = acc * w + (k + 1)
+def _horner(u, table: np.ndarray) -> np.ndarray:
+    """Row i is sum_k table[k, i] u^k, by Horner's rule over the first axis.
+
+    The same IEEE steps, lane by lane, as numpy.polynomial.polynomial's
+    ``polyval(u, table, tensor=True)`` (start from table[-1] + u*0, then
+    acc*u + table[k]), so the values are bit for bit the same; the
+    accumulator is updated in place.
+    """
+    u = np.asarray(u)
+    table = table.reshape(table.shape + (1,) * u.ndim)
+    acc = table[-1] + u * 0
+    for row in table[-2::-1]:
+        np.multiply(acc, u, out=acc)
+        np.add(acc, row, out=acc)
     return acc
 
 
@@ -197,7 +207,7 @@ def _ramp_polynomial(w: np.ndarray, n_trunc: int, switch: float) -> np.ndarray:
             1.0 - wf
         ) ** 2
     if np.any(near):
-        out[near] = _ramp_horner(w[near], n_trunc)
+        out[near] = _horner(w[near], np.arange(1.0, n_trunc + 2)[:, None])[0]
     return out
 
 
@@ -221,7 +231,7 @@ def szego_square_kernel(z, zeta, n_trunc: int):
         wf = w[far]
         out[far] = (1.0 - wf ** (n_trunc + 1)) / (1.0 - wf) ** 2
     if np.any(near):
-        out[near] = _ramp_horner(w[near], n_trunc)
+        out[near] = _horner(w[near], np.arange(1.0, n_trunc + 2)[:, None])[0]
     out /= math.log(n_trunc)
     return complex(out[0]) if scalar else out
 
@@ -305,24 +315,53 @@ def _sphere_orders(n_trunc: int, m) -> list[int]:
     return ms.tolist()
 
 
+def _derivative_scales(n_trunc: int, ms: list[int]) -> np.ndarray:
+    """m * (m-1)! per order, once (N+m-1)!/N! is bounded against float64."""
+    if math.lgamma(n_trunc + max(ms)) - math.lgamma(n_trunc + 1) > _LOG_FLOAT_MAX:
+        raise ParameterError(
+            f"derivative products (N+m-1)!/N! overflow float64 at N = {n_trunc}, "
+            f"m up to {max(ms)}"
+        )
+    return _as_floats([mi * math.factorial(mi - 1) for mi in ms], n_trunc, ms)
+
+
 def _as_floats(values, n_trunc: int, ms: list[int]) -> np.ndarray:
     try:
-        return np.array(values, dtype=float)
+        return np.fromiter(values, dtype=float)
     except OverflowError:
         raise ParameterError(
             f"sphere kernel constants overflow float64 at N = {n_trunc}, m up to {max(ms)}"
         ) from None
 
 
-def _sphere_eval(t, m, coeffs: np.ndarray, scales: np.ndarray):
-    """One Horner pass over the (N+1) x len(m) coefficient columns, one row per m.
+def _fill_binomials(table: np.ndarray, n_trunc: int, ms: list[int]) -> None:
+    """Column i = C(k+m_i-1, m_i-1) for k = 0..N, exact integers rounded once."""
+    for column, mi in zip(table.T, ms):
+        binomials = map(math.comb, range(mi - 1, n_trunc + mi), repeat(mi - 1))
+        column[:] = _as_floats(binomials, n_trunc, ms)
 
-    Row i is polyval(1-t, coeffs[:, i]) / scales[i]; an int ``m`` gives that row alone.
+
+def _fill_derivative_passes(table: np.ndarray, n_trunc: int, ms: list[int]) -> None:
+    """Column i = the first N+1 coefficients after m_i - 1 derivative passes.
+
+    Pass p turns d_k into d_{k+1} * (k+1), the products numpy's polyder forms;
+    the first N+1 entries after m-1 passes do not depend on the length beyond.
     """
+    d = np.ones(n_trunc + max(ms), dtype=float)
+    for p in range(max(ms)):
+        if p:
+            d = d[1:] * np.arange(1, d.size, dtype=float)
+        for column, mi in zip(table.T, ms):
+            if mi == p + 1:
+                column[:] = d[: n_trunc + 1]
+
+
+def _sphere_eval(t, table: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Row i is polyval(1-t, table[:, i]) / scales[i], from one Horner pass."""
     u = 1.0 - np.asarray(t, dtype=float)
-    rows = npoly.polyval(u, coeffs, tensor=True)
-    rows = rows / np.reshape(scales, (-1,) + (1,) * np.ndim(u))
-    return rows if np.ndim(m) else rows[0]
+    rows = _horner(u, table)
+    rows /= np.reshape(scales, (-1,) + (1,) * np.ndim(u))
+    return rows
 
 
 def sphere_kernel(t, n_trunc: int, m):
@@ -333,8 +372,10 @@ def sphere_kernel(t, n_trunc: int, m):
     int or a 1-d sequence of ints; a sequence gives one row of values per m.
     """
     ms = _sphere_orders(n_trunc, m)
-    binoms = [[math.comb(k + mi - 1, mi - 1) for mi in ms] for k in range(n_trunc + 1)]
-    return _sphere_eval(t, m, _as_floats(binoms, n_trunc, ms), np.array(ms, dtype=float))
+    table = np.empty((n_trunc + 1, len(ms)))
+    _fill_binomials(table, n_trunc, ms)
+    rows = _sphere_eval(t, table, np.array(ms, dtype=float))
+    return rows if np.ndim(m) else rows[0]
 
 
 def sphere_kernel_derivative(t, n_trunc: int, m):
@@ -346,20 +387,28 @@ def sphere_kernel_derivative(t, n_trunc: int, m):
     product formed, (N+m-1)!/N!, is bounded against float64 before any work.
     """
     ms = _sphere_orders(n_trunc, m)
-    if math.lgamma(n_trunc + max(ms)) - math.lgamma(n_trunc + 1) > _LOG_FLOAT_MAX:
-        raise ParameterError(
-            f"derivative products (N+m-1)!/N! overflow float64 at N = {n_trunc}, "
-            f"m up to {max(ms)}"
-        )
-    scales = _as_floats([mi * math.factorial(mi - 1) for mi in ms], n_trunc, ms)
-    # Pass p turns d_k into d_{k+1} * (k+1), the products npoly.polyder forms;
-    # the first N+1 entries after m-1 passes do not depend on the length beyond.
-    d = np.ones(n_trunc + max(ms), dtype=float)
-    passes = [d[: n_trunc + 1]]
-    for _ in range(max(ms) - 1):
-        d = d[1:] * np.arange(1, d.size, dtype=float)
-        passes.append(d[: n_trunc + 1])
-    return _sphere_eval(t, m, np.stack([passes[mi - 1] for mi in ms], axis=1), scales)
+    scales = _derivative_scales(n_trunc, ms)
+    table = np.empty((n_trunc + 1, len(ms)))
+    _fill_derivative_passes(table, n_trunc, ms)
+    rows = _sphere_eval(t, table, scales)
+    return rows if np.ndim(m) else rows[0]
+
+
+def sphere_kernel_routes(t, n_trunc: int, m):
+    """(``sphere_kernel``, ``sphere_kernel_derivative``) from one Horner pass.
+
+    Bit for bit the two routes' values: both coefficient tables share one
+    (N+1) x 2*len(m) array and every lane takes the same IEEE steps.  The
+    derivative route's float64 bound is checked before any binomial is formed.
+    """
+    ms = _sphere_orders(n_trunc, m)
+    scales = np.concatenate([np.array(ms, dtype=float), _derivative_scales(n_trunc, ms)])
+    k = len(ms)
+    table = np.empty((n_trunc + 1, 2 * k))
+    _fill_binomials(table[:, :k], n_trunc, ms)
+    _fill_derivative_passes(table[:, k:], n_trunc, ms)
+    rows = _sphere_eval(t, table, scales)
+    return (rows[:k], rows[k:]) if np.ndim(m) else (rows[0], rows[1])
 
 
 def invert_symbol(

@@ -197,8 +197,7 @@ def classify_limit(x, policy: ClassifyPolicy | None = None) -> MeasurabilityVerd
     start = max(len(bounds) // 2, len(bounds) - max(pol.window_count, len(bounds) // 2))
     tail_bounds = bounds[start:]
     tail = arr[tail_bounds[0][0] : tail_bounds[-1][1]]
-    lower = float(np.percentile(tail, 5))
-    upper = float(np.percentile(tail, 95))
+    lower, upper = np.percentile(tail, [5, 95]).tolist()
     gap = upper - lower
     scale = max(float(np.max(np.abs(tail))), pol.abs_floor)
     if gap > pol.rel_gap * scale:

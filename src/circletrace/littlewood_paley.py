@@ -141,15 +141,17 @@ def besov_norm(
     # A piece's values at the angles 2*pi*j/size are gathered from one table
     # of roots of unity at the exactly reduced indices (k mod size) * j mod
     # size: no phase k * theta is rounded and no exponential is taken per mode.
+    # Those indices repeat with period size / gcd(k mod size, size), so each
+    # product c * root is formed once per period and added to every repeat.
     j = np.arange(size)
     roots = np.exp(1j * (2.0 * np.pi * j / size))
-    index = np.empty(size, dtype=np.int64)
     per_level = []
     for absn, modes, coeffs in _norm_levels(a, gamma):
         values = np.zeros(size, dtype=complex)
         for k, c in zip(modes.tolist(), coeffs.tolist()):
-            np.remainder(np.multiply(j, k % size, out=index), size, out=index)
-            values += c * roots[index]
+            period = size // math.gcd(k % size, size)
+            repeats = values.reshape(-1, period)  # a view: one row per period
+            repeats += c * roots[j[:period] * (k % size) % size]
         per_level.append(gamma ** (absn * t) * _lp_norm(values, p))
     if not per_level:
         return 0.0

@@ -25,7 +25,9 @@ from circletrace.cli import (
     symbol_from_arg,
     symbol_from_obj,
 )
+from circletrace.dixmier import cesaro_mean, classify_limit
 from circletrace.errors import ParameterError, ResourceLimitError
+from circletrace.fourier import CoefficientRule
 from circletrace.report import Report, emit_report
 
 
@@ -142,6 +144,24 @@ def test_measurability_experiment_kinds():
     assert verdicts[1] == "oscillating"
 
 
+def test_measurability_evaluates_a_rule_once_when_d_is_c(monkeypatch):
+    n = 4**7
+    rules = [rule_from_obj("sqrt-log-cos"), rule_from_obj("block-indicator:2")]
+    expected = [
+        classify_limit(cesaro_mean(c.values(n + 1) * d.values(n + 1))).to_json_obj()
+        for c, d in ((rules[0], rules[0]), (rules[0], rules[1]))
+    ]
+    evaluated = []
+    values = CoefficientRule.values
+    monkeypatch.setattr(
+        CoefficientRule, "values", lambda rule, count: evaluated.append(rule) or values(rule, count)
+    )
+    entries = [{"c": "sqrt-log-cos"}, {"c": "sqrt-log-cos", "d": "block-indicator:2"}]
+    report = run_experiment(ExperimentConfig("Measurability", {"N": n, "entries": entries}))
+    assert evaluated == [rules[0], rules[0], rules[1]]
+    assert [scalar["verdict"] for scalar in report.scalars] == expected
+
+
 def test_singular_sweep_resource_cap():
     # 6144 is not a power of 2, so the sweep takes the dense route and its cap
     config = ExperimentConfig(
@@ -185,6 +205,8 @@ def test_singular_sweep_default_window_on_small_truncations(n, window, tmp_path)
         (["--k-lo", "8", "--k-hi", "8"], "[8, 8)"),
         (["--k-lo", "1", "--k-hi", "4097"], "[1, 4097)"),
         (["--k-hi", "1"], "[1, 1)"),  # the default k_lo of k_hi = 1
+        (["--k-lo", "0"], "[0, 512)"),  # the default k_hi is at most min(512, N/4)
+        (["--k-lo", "512"], "[512, 512)"),
     ],
 )
 def test_singular_sweep_window_is_checked_before_the_spectrum(flags, window, monkeypatch, capsys):
@@ -196,6 +218,15 @@ def test_singular_sweep_window_is_checked_before_the_spectrum(flags, window, mon
     assert main(["singular-sweep", "--N", "4096", *flags]) == 2
     err = capsys.readouterr().err
     assert err == f"parameter error: window {window} out of range for spectrum of length 4096\n"
+
+
+def test_singular_sweep_refuses_k_lo_below_1_at_once(capsys):
+    # N = 1500 is not a power of 2: the spectrum would be a dense N x N solve
+    start = time.perf_counter()
+    assert main(["singular-sweep", "--N", "1500", "--k-lo", "0"]) == 2
+    assert time.perf_counter() - start < 0.5
+    line = _stderr_line(capsys)
+    assert line == "parameter error: window [0, 375) out of range for spectrum of length 1500"
 
 
 def test_kernel_check_at_the_matrix_cap_runs(tmp_path):
@@ -237,15 +268,15 @@ def test_hn_derivative_overflow_exits_2_before_any_route(tmp_path, capsys):
     assert "(N+m-1)!/N! overflow float64" in _stderr_line(capsys)
 
 
-def test_hn_horner_overflow_exits_2_before_the_binomial_route(tmp_path, capsys, monkeypatch):
+def test_hn_horner_overflow_exits_2_without_output(tmp_path, capsys):
     # (N+m-1)!/N! fits float64 at m = 94, but the derivative Horner sum does not
-    def binomial_route(*args):
-        raise AssertionError("the binomial route ran")
-
-    monkeypatch.setattr(cli.cf, "sphere_kernel", binomial_route)
+    out = tmp_path / "x.json"
     argv = ["hn", "--N", "2000", "--m-max", "94", "--t-points", "4"]
-    assert main([*argv, "--out", str(tmp_path / "x.json")]) == 2
-    assert "derivative route overflows float64" in _stderr_line(capsys)
+    assert main([*argv, "--out", str(out)]) == 2
+    assert _stderr_line(capsys) == (
+        "parameter error: derivative route overflows float64 at N = 2000, m up to 94"
+    )
+    assert not out.exists()
 
 
 def test_report_refuses_non_finite_numbers():

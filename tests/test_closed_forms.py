@@ -1,17 +1,21 @@
 import math
 import tracemalloc
 
+from numpy.polynomial import polynomial as npoly
+
 import numpy as np
 import pytest
 
 from circletrace.closed_forms import (
     KernelParams,
+    _horner,
     _ramp_polynomial,
     fourier_side_trace,
     integral_trace,
     invert_symbol,
     sphere_kernel,
     sphere_kernel_derivative,
+    sphere_kernel_routes,
     symmetric_fourier_trace,
     szego_square_kernel,
     weierstrass_trace,
@@ -50,6 +54,11 @@ def double_sum(a, b, n_trunc):
     return sum(
         min(k, n_trunc + 1) * v * b[-k] for k, v in a.coeffs.items() if k >= 1
     )
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def dense_integral_trace(a, b, params):
@@ -181,6 +190,24 @@ class TestSzegoSquareKernel:
             1.0 / (2.0 * math.log(16))
         )
 
+    def test_near_points_match_the_ramp_horner_loop(self):
+        # the loop both kernels summed near w = 1 before they shared _horner
+        def ramp_loop(w, n):
+            acc = np.full(w.shape, n + 1.0, dtype=complex)
+            for k in range(n - 1, -1, -1):
+                acc = acc * w + (k + 1)
+            return acc
+
+        offsets = np.array([0.0, 1e-7, -3e-8j, 2e-7 + 5e-7j, -6e-7 - 1e-7j, 4e-10])
+        for n in (2, 16, 255):
+            w = 1.0 + offsets
+            assert same_bits(szego_square_kernel(w, 1.0, n), ramp_loop(w, n) / math.log(n))
+            assert same_bits(
+                szego_square_kernel(1.0, 1.0, n), complex(ramp_loop(w[:1], n)[0] / math.log(n))
+            )
+            near = (1.0 - 1e-5) * np.exp(1j * np.array([0.0, 1e-5, -3e-5]))
+            assert same_bits(_ramp_polynomial(near, n, switch=1e-4), ramp_loop(near, n))
+
     def test_branches_agree_inside_disc(self):
         # on a radius where the dropped tail is negligible both branches match
         w = 0.5 * np.exp(1j * np.linspace(0, 2 * np.pi, 7))
@@ -302,6 +329,43 @@ class TestSphereKernel:
             coeffs = npoly.polyder(np.ones(40 + m), m - 1)
             reference = npoly.polyval(1.0 - t, coeffs) / (m * math.factorial(m - 1))
             assert np.array_equal(sphere_kernel_derivative(t, 40, m), reference)
+
+    def test_horner_equals_polyval_tensor(self):
+        rng = np.random.default_rng(3)
+        tables = [rng.standard_normal((rows, cols)) for rows, cols in ((1, 3), (9, 1), (40, 5))]
+        points = [0.375, np.float64(-1.5), rng.uniform(-1, 1, 7), rng.uniform(-1, 1, (3, 4))]
+        points.append(rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6))
+        for table in tables:
+            for u in points:
+                assert same_bits(_horner(u, table), npoly.polyval(u, table, tensor=True))
+
+    def test_routes_equal_the_separate_routes_and_polyval(self):
+        t = np.linspace(0.0, 1.0, 33)[1:]
+        for n in (0, 1, 8, 300, 2**12):
+            for m in (1, 5, [3], range(1, 9), [6, 2, 2]):
+                binomial, derivative = sphere_kernel_routes(t, n, m)
+                assert same_bits(binomial, sphere_kernel(t, n, m))
+                assert same_bits(derivative, sphere_kernel_derivative(t, n, m))
+                ms = np.atleast_1d(m).tolist()
+                binomials = [[math.comb(k + mi - 1, mi - 1) for mi in ms] for k in range(n + 1)]
+                reference = npoly.polyval(1.0 - t, np.array(binomials, dtype=float), tensor=True)
+                reference /= np.array(ms, dtype=float)[:, None]
+                assert same_bits(binomial, reference if np.ndim(m) else reference[0])
+        for m in (2, [1, 4]):
+            binomial, derivative = sphere_kernel_routes(0.25, 8, m)
+            assert same_bits(binomial, sphere_kernel(0.25, 8, m))
+            assert same_bits(derivative, sphere_kernel_derivative(0.25, 8, m))
+
+    def test_routes_refuse_the_derivative_overflow_before_any_binomial(self, monkeypatch):
+        def comb(*args):
+            raise AssertionError("a binomial was formed")
+
+        monkeypatch.setattr(math, "comb", comb)
+        t = np.linspace(0.0, 1.0, 5)[1:]
+        with pytest.raises(ParameterError, match=r"\(N\+m-1\)!/N! overflow float64"):
+            sphere_kernel_routes(t, 2000, [1, 95])
+        with pytest.raises(AssertionError, match="a binomial was formed"):
+            sphere_kernel_routes(t, 2000, [1, 94])
 
     def test_validation(self):
         with pytest.raises(ParameterError):

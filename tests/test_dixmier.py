@@ -14,6 +14,7 @@ import pytest
 from circletrace.dixmier import (
     ClassifyPolicy,
     VerdictKind,
+    _window_bounds,
     cesaro_mean,
     classify_limit,
     log_extrapolate,
@@ -195,6 +196,21 @@ def test_classifier_sqrt_log_cos_oscillates():
     verdict = classify_limit(cesaro_mean(c * c))
     assert verdict.kind is VerdictKind.OSCILLATING
     assert verdict.upper - verdict.lower > 0.1
+
+
+def test_classifier_cluster_levels_are_the_tail_percentiles():
+    # one np.percentile(tail, [5, 95]) call against one call per level
+    n = 4**10
+    for rule in (CoefficientRule.block_indicator(2), CoefficientRule.sqrt_log_cos()):
+        c = rule.values(n + 1)
+        x = cesaro_mean(c * c)
+        verdict = classify_limit(x)
+        bounds = _window_bounds(x.size, 2)
+        start = max(len(bounds) // 2, len(bounds) - max(5, len(bounds) // 2))
+        tail = x[bounds[start][0] : bounds[-1][1]]
+        assert verdict.kind is VerdictKind.OSCILLATING
+        assert verdict.lower == float(np.percentile(tail, 5))
+        assert verdict.upper == float(np.percentile(tail, 95))
 
 
 def test_classifier_monotone_trend_is_not_oscillating():

@@ -14,6 +14,8 @@ from circletrace.fourier import (
 )
 from circletrace.littlewood_paley import (
     INF,
+    _lp_norm,
+    _norm_levels,
     besov_norm,
     hat_weights,
     holder_norm_star,
@@ -179,6 +181,36 @@ def test_norms_match_the_dict_route(gamma):
                 assert besov_norm(a, alpha, p, q, gamma) == pytest.approx(
                     dict_besov(a, alpha, p, q, gamma), rel=1e-13, abs=0
                 )
+
+
+def gathered_besov(a, t, p, q, gamma, size):
+    # each mode's values gathered over the whole grid, at (k mod G) * j mod G
+    j = np.arange(size)
+    roots = np.exp(1j * (2.0 * np.pi * j / size))
+    per_level = []
+    for absn, modes, coeffs in _norm_levels(a, gamma):
+        values = np.zeros(size, dtype=complex)
+        for k, c in zip(modes.tolist(), coeffs.tolist()):
+            values += c * roots[j * (k % size) % size]
+        per_level.append(gamma ** (absn * t) * _lp_norm(values, p))
+    arr = np.asarray(per_level)
+    return float(np.max(arr)) if q == INF else float(np.sum(arr**q) ** (1.0 / q))
+
+
+def test_norms_equal_the_full_grid_gather():
+    # negative modes, mode 0, modes coprime to G and sharing factors with it,
+    # on G = 320 (not a power of 2), an odd grid and the lacunary 2^13 grid
+    rng = np.random.default_rng(8)
+    trig = FourierSymbol({k: complex(*rng.standard_normal(2)) for k in range(-40, 41)})
+    w = lacunary(0.5, 2, CoefficientRule.constant(1.0), 2**10)
+    for a, size in ((trig, 320), (trig, 333), (w, 2**13)):
+        for gamma in (2, 3):
+            expected = gathered_besov(a, 0.5, INF, INF, gamma, size)
+            assert holder_norm_star(a, 0.5, gamma, size) == expected
+            for p in (1, 2, INF):
+                for q in (1, 2, INF):
+                    expected = gathered_besov(a, 0.5, p, q, gamma, size)
+                    assert besov_norm(a, 0.5, p, q, gamma, size) == expected
 
 
 def test_holder_norm_of_lacunary_families():
