@@ -363,6 +363,15 @@ def _entries_file(path: str):
     return doc["entries"] if isinstance(doc, dict) and "entries" in doc else doc
 
 
+def _cesaro_of_product(c: CoefficientRule, d: CoefficientRule, size: int) -> np.ndarray:
+    """Cesaro means of the first ``size`` terms of c*d (d defaults to c
+    itself).  Nothing else long stays alive, so with the classifier's copy of
+    the tail a rule holds at most two arrays of ``size`` floats."""
+    product = c.values(size)
+    np.multiply(product, product if d is c else d.values(size), out=product)
+    return cesaro_mean(product)
+
+
 # Without "entries" the params are one entry, labelled "sequence".
 @_kind(
     "Measurability", "measurability", "limit classification verdict table",
@@ -384,9 +393,7 @@ def _run_measurability(limits: Limits, *, N, policy, entries, label, gamma, c, d
         label, gamma, c, d = (entry[key] for key in ("label", "gamma", "c", "d"))
         echo = {"label": label, "gamma": gamma, "c": _rule_json(c), "d": _rule_json(d)}
         report.inputs["entries"].append(echo)
-        values = c.values(N + 1)
-        product = values * (values if d is c else d.values(N + 1))  # d defaults to c itself
-        verdict = classify_limit(cesaro_mean(product), policy)
+        verdict = classify_limit(_cesaro_of_product(c, d, N + 1), policy)
         report.scalars.append(
             {
                 "expression": f"verdict[{label}]: Cesaro(c*d) behavior, "
@@ -417,6 +424,8 @@ def _run_singular_sweep(limits: Limits, *, alpha, gamma, c, N, p, k_lo, k_hi) ->
         lo = _default_k_lo(k_lo, hi)
         if not 1 <= lo < hi <= N:
             raise ParameterError(f"window [{lo}, {hi}) out of range for spectrum of length {N}")
+        if hi - lo < 2:
+            raise ParameterError(f"window [{lo}, {hi}) holds one index; a slope needs two")
     symbol = weierstrass_symbol(WeierstrassParams(alpha=alpha, gamma=gamma, c=c), 2 * N)
     # Every mode is a real power of gamma, so with none in (N, 2N) the block is
     # H_P (+) 0 and its spectrum is closed form; otherwise the dense route.

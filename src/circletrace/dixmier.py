@@ -73,17 +73,27 @@ def residue_sequence(op: TruncatedOperator) -> ResidueSequence:
         raise ParameterError(
             "residue sequence requires hardy-natural or full-by-modulus ordering"
         )
-    sums = np.cumsum(np.diagonal(op.matrix))
+    sums = np.cumsum(op.diagonal())
     norm = np.log(np.arange(sums.size) + 2.0)
     return ResidueSequence(sums, sums / norm, op.row_basis.ordering_rule)
 
 
+# Terms per division step of cesaro_mean: its counts 1..N+1 are made one
+# block at a time, never as an N-length array.
+_COUNT_BLOCK = 1 << 14
+
+
 def cesaro_mean(x) -> np.ndarray:
-    """Running averages (sum of the first N+1 terms) / (N+1)."""
+    """Running averages (sum of the first N+1 terms) / (N+1), formed in one
+    new float64 array; ``x`` is left as it is."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ParameterError("cesaro_mean expects a 1-d sequence")
-    return np.cumsum(arr) / np.arange(1, arr.size + 1)
+    out = np.cumsum(arr)
+    for lo in range(0, out.size, _COUNT_BLOCK):
+        hi = min(lo + _COUNT_BLOCK, out.size)
+        out[lo:hi] /= np.arange(lo + 1, hi + 1, dtype=float)
+    return out
 
 
 def log_mean_transform(x) -> np.ndarray:

@@ -189,10 +189,13 @@ class CoefficientRule:
                 out[lo : min(hi, count)] = 0.0
                 lo *= g * g
             return out
-        # sqrt-log-cos
-        n = np.arange(count, dtype=float)
-        n[0] = 1.0
-        return np.sqrt(2.0 + np.cos(np.log(n)))
+        # sqrt-log-cos, formed in place
+        out = np.arange(count, dtype=float)
+        out[0] = 1.0
+        np.log(out, out=out)
+        np.cos(out, out=out)
+        out += 2.0
+        return np.sqrt(out, out=out)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,17 @@
 """Deterministic experiment reports.
 
-A report is a plain tree of dicts/lists/strings/numbers with a fixed field
-order.  Serialization is deterministic: floats are printed with 17
-significant digits, complex values as [re, im] pairs, and no timestamps or
-environment data enter the body, so identical configs produce byte-identical
-output.
+A report is a tree of dicts/lists/strings/numbers with a fixed field order;
+the points and values of a sequence added with ``add_sequence`` stay numpy
+arrays, which ``body`` turns into lists.  Serialization is deterministic:
+floats are printed with 17 significant digits, complex values as [re, im]
+pairs, and no timestamps or environment data enter the body, so identical
+configs produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +51,10 @@ class Report:
     def add_sequence(
         self, name: str, expression: str, normalization: str, points, values
     ) -> None:
+        """Append a sequence, keeping ``points`` and ``values`` as the arrays
+        ``np.asarray`` gives, uncopied: the caller must not change them
+        afterwards, since the report writes whatever they then hold and
+        their finiteness is checked only here."""
         values = np.asarray(values)
         _require_finite(expression, values)
         self.sequences.append(
@@ -56,8 +62,8 @@ class Report:
                 "name": name,
                 "expression": expression,
                 "normalization": normalization,
-                "points": list(np.asarray(points).tolist()),
-                "values": values.tolist(),
+                "points": np.asarray(points),
+                "values": values,
             }
         )
 
@@ -74,11 +80,20 @@ class Report:
         )
 
     def body(self) -> dict:
+        """The report as a plain tree: sequence arrays become lists."""
+        return self._tree(
+            [
+                {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in seq.items()}
+                for seq in self.sequences
+            ]
+        )
+
+    def _tree(self, sequences: list) -> dict:
         return {
             "kind": self.kind,
             "inputs": self.inputs,
             "scalars": self.scalars,
-            "sequences": self.sequences,
+            "sequences": sequences,
             "checks": self.checks,
             "notes": self.notes,
         }
@@ -121,10 +136,13 @@ def _write_json(obj, write) -> None:
             write(b": ")
             _write_json(value, write)
         write(b"}")
-    elif isinstance(obj, list) and (chunks := _flat_list(obj)) is not None:
-        for chunk in chunks:
-            write(chunk)
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+    elif isinstance(obj, (list, np.ndarray)) and (pieces := _flat_pieces(obj)) is not None:
+        write(b"[")
+        _rows(pieces, ", ", write)
+        write(b"]")
+    elif isinstance(obj, np.ndarray):
+        _write_json(obj.tolist(), write)
+    elif isinstance(obj, (list, tuple)):
         write(b"[")
         for i, value in enumerate(obj):
             if i:
@@ -135,24 +153,37 @@ def _write_json(obj, write) -> None:
         raise ParameterError(f"cannot serialize value of type {type(obj).__name__}")
 
 
-def _flat_list(items: list) -> list[bytes] | None:
-    """The JSON text, in chunks, of a list of only exact floats, only exact ints
-    or only exact complex values (bools and numpy scalars excluded); None for
-    other lists, which go element by element."""
-    kinds = set(map(type, items))
-    if kinds == {int}:
-        return [("[" + ", ".join(map(str, items)) + "]").encode()]
-    if kinds == {float}:
-        pieces = [("%.17g", items)]
-    elif kinds == {complex}:
-        parts = _parts(items)
-        pieces = ["[", ("%.17g", parts[:, 0]), ", ", ("%.17g", parts[:, 1]), "]"]
+_KINDS = {"i": int, "u": int, "f": float, "c": complex}  # numpy dtype kinds
+
+
+def _flat_pieces(items) -> list | None:
+    """The row pieces (see ``_rows``) of a 1-d int, float or complex array, or
+    of a list of only exact ints, only exact floats or only exact complex
+    values (bools and numpy scalars excluded); None for other arrays, which
+    go as their ``tolist``, and other lists, which go element by element."""
+    if isinstance(items, np.ndarray):
+        kinds = {_KINDS.get(items.dtype.kind) if items.ndim == 1 else None}
     else:
-        return None
-    chunks = [b"["]
-    _rows(pieces, ", ", chunks.append)
-    chunks.append(b"]")
-    return chunks
+        kinds = set(map(type, items))
+    if kinds == {int}:
+        return [("%s", items)]
+    if kinds == {float}:
+        return [("%.17g", items)]
+    if kinds == {complex}:
+        re, im = _parts(items)
+        return ["[", ("%.17g", re), ", ", ("%.17g", im), "]"]
+    return None
+
+
+def _exact_ints(column) -> bool:
+    """Whether ``column`` is a nonempty int array or list of only Python ints
+    (bools excluded) with every entry strictly within 2**53 of 0, where
+    ``'%.17g' % float(k) == str(k)``."""
+    if isinstance(column, np.ndarray):
+        ints = column.dtype.kind in "iu"
+    else:
+        ints = set(map(type, column)) == {int}
+    return ints and len(column) > 0 and -(2**53) < np.min(column) and np.max(column) < 2**53
 
 
 # Below this many rows one % format string is faster: the numpy route costs
@@ -209,11 +240,13 @@ def _cell_column(fmt: str, column) -> tuple:
     """(cell width, fill) for ``fmt % v`` of each v of a column; ``fill(out, lo,
     hi)`` writes the cells of rows [lo, hi) into a column-major byte matrix,
     NUL where a cell is shorter than the width."""
-    exact_ints = fmt == "%s" and set(map(type, column)) == {int}
-    if fmt == "%.17g" or exact_ints and -(2**53) < min(column) and max(column) < 2**53:
-        values = np.asarray(column, dtype=float)  # '%.17g' % float(k) == str(k) for such k
-        return _FLOAT_WIDTH, lambda out, lo, hi: _float_cells(out, values[lo:hi])
-    text = np.array([str(v).encode().replace(b"\x00", b"\xff") for v in column])
+    if fmt == "%.17g" or _exact_ints(column):
+        # '%.17g' % float(k) == str(k) for such k; each block is converted apart
+        return _FLOAT_WIDTH, lambda out, lo, hi: _float_cells(
+            out, np.asarray(column[lo:hi], dtype=float)
+        )
+    items = column.tolist() if isinstance(column, np.ndarray) else column
+    text = np.array([str(v).encode().replace(b"\x00", b"\xff") for v in items])
     text = text.view(np.uint8).reshape(len(column), -1)
 
     def fill(out, lo, hi):
@@ -366,32 +399,36 @@ def _percent_cells(x: np.ndarray) -> np.ndarray:
     return np.array(["%.17g" % v for v in x.tolist()], dtype="S24")
 
 
-def _parts(values) -> np.ndarray:
-    """(n, 2) real and imaginary parts of numbers or real [re, im] pairs, as
-    ``complex(value)`` or ``complex(re, im)`` gives them, signed zeros kept."""
+def _parts(values) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of numbers or of real [re, im] pairs, as
+    ``complex(value)`` or ``complex(re, im)`` gives them, signed zeros kept;
+    views of a complex128 array."""
     parts = np.asarray(values, dtype=complex)
-    return parts.real if parts.ndim == 2 else parts.view(float).reshape(-1, 2)
+    if parts.ndim == 2:
+        return parts.real[:, 0], parts.real[:, 1]
+    return parts.real, parts.imag
 
 
 def emit_report(report: Report, fmt: str) -> bytes:
     """Serialize a report; fmt is "json" or "csv"."""
+    # BytesIO grows one buffer and hands it over as the bytes, without the
+    # second copy of the whole text a join of the chunks would make
+    out = io.BytesIO()
     if fmt == "json":
-        chunks = []
-        _write_json(report.body(), chunks.append)
-        chunks.append(b"\n")
-        return b"".join(chunks)
+        _write_json(report._tree(report.sequences), out.write)
+        out.write(b"\n")
+        return out.getvalue()
     if fmt == "csv":
-        chunks = [b"series,point,value_re,value_im\n"]
+        out.write(b"series,point,value_re,value_im\n")
         for scalar in report.scalars:
             z = complex(scalar["value"])
             line = f"{_csv_name(scalar['expression'])},,{z.real:.17g},{z.imag:.17g}\n"
-            chunks.append(line.encode())
+            out.write(line.encode())
         for seq in report.sequences:
-            parts = _parts(seq["values"])
-            re, im = ("%.17g", parts[:, 0]), ("%.17g", parts[:, 1])
+            re, im = (("%.17g", part) for part in _parts(seq["values"]))
             row = [_csv_name(seq["name"]) + ",", ("%s", seq["points"]), ",", re, ",", im, "\n"]
-            _rows(row, "", chunks.append)
-        return b"".join(chunks)
+            _rows(row, "", out.write)
+        return out.getvalue()
     raise ParameterError(f"unknown report format {fmt!r}")
 
 

@@ -42,10 +42,10 @@ class SingularSpectrum:
 
 
 def singular_values(op: TruncatedOperator) -> SingularSpectrum:
-    """All min(m, n) singular values, by a route read off the matrix itself.
+    """All min(m, n) singular values, by a route read off the operator's block.
 
-    1. Rows and columns that are exactly zero are dropped; each contributes
-       an exact zero, kept as zero padding at the end of mu.
+    1. Rows and columns outside the block or exactly zero in it are dropped;
+       each contributes an exact zero, kept as zero padding at the end of mu.
     2. A square, exactly Hermitian remaining block (``B == B^H`` entrywise,
        e.g. a real Hankel H[l, i] = a_{l+i+1}) gives mu = |eigvalsh(B)|.
     3. Any other block takes the dense SVD.
@@ -53,7 +53,7 @@ def singular_values(op: TruncatedOperator) -> SingularSpectrum:
     Routes 1 and 2 agree with the dense SVD of the whole matrix to within
     1e-13 * mu_0 (tested).  Decomposition failure raises, never returns zeros.
     """
-    mat = op.matrix
+    mat = op.block
     rows, cols = mat.any(axis=1), mat.any(axis=0)
     if not (rows.all() and cols.all()):
         mat = mat[np.ix_(rows, cols)]
@@ -135,6 +135,8 @@ def decay_slope(
         raise ParameterError(
             f"window [{k_lo}, {k_hi}) out of range for spectrum of length {len(spectrum)}"
         )
+    if k_hi - k_lo < 2:
+        raise ParameterError(f"window [{k_lo}, {k_hi}) holds one index; a slope needs two")
     window = spectrum.mu[k_lo:k_hi]
     if np.any(window <= 0):
         rank = int(np.count_nonzero(spectrum.mu > 0))

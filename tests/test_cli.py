@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,23 @@ def test_measurability_evaluates_a_rule_once_when_d_is_c(monkeypatch):
     assert [scalar["verdict"] for scalar in report.scalars] == expected
 
 
+def test_measurability_holds_one_sequence_per_rule():
+    # a rule holds at most two arrays of N + 1 floats (8.4 MB each at
+    # N = 4^10) at once: c*d and its Cesaro means, then the means and the
+    # classifier's copy of their tail; the traced peak stays under three
+    entries = [{"c": "block-indicator:2"}, {"c": "sqrt-log-cos"}, {"c": "constant:1"}]
+    config = ExperimentConfig("Measurability", {"N": "4**10", "entries": entries})
+    tracemalloc.start()
+    try:
+        report = run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kinds = [scalar["verdict"]["kind"] for scalar in report.scalars]
+    assert kinds == ["oscillating", "oscillating", "convergent"]
+    assert peak < 3 * 8 * (4**10 + 1)
+
+
 def test_singular_sweep_resource_cap():
     # 6144 is not a power of 2, so the sweep takes the dense route and its cap
     config = ExperimentConfig(
@@ -227,6 +245,31 @@ def test_singular_sweep_refuses_k_lo_below_1_at_once(capsys):
     assert time.perf_counter() - start < 0.5
     line = _stderr_line(capsys)
     assert line == "parameter error: window [0, 375) out of range for spectrum of length 1500"
+
+
+@pytest.mark.parametrize(
+    "flags, window",
+    [(["--k-lo", "8", "--k-hi", "9"], "[8, 9)"), (["--k-lo", "511"], "[511, 512)")],
+)
+def test_singular_sweep_refuses_a_one_index_window_before_the_spectrum(
+    flags, window, monkeypatch, capsys
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectrum work for a window that cannot fit it")
+
+    for route in ("lacunary_hankel_spectrum", "singular_values", "hankel_matrix"):
+        monkeypatch.setattr(cli, route, refuse)
+    assert main(["singular-sweep", "--N", "4096", *flags]) == 2
+    line = _stderr_line(capsys)
+    assert line == f"parameter error: window {window} holds one index; a slope needs two"
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 11])
+def test_singular_sweep_default_window_of_one_index_exits_2(n, capsys):
+    # min(512, N/4) = 2 caps k_hi, so the default window is [1, 2)
+    assert main(["singular-sweep", "--N", str(n)]) == 2
+    line = _stderr_line(capsys)
+    assert line == "parameter error: window [1, 2) holds one index; a slope needs two"
 
 
 def test_kernel_check_at_the_matrix_cap_runs(tmp_path):

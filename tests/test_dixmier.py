@@ -143,6 +143,15 @@ def test_cesaro_examples():
     assert alternating[-1] == pytest.approx(0.5, abs=1e-3)
 
 
+def test_cesaro_mean_divides_by_blocks_and_keeps_its_argument():
+    x = np.random.default_rng(6).standard_normal(3 * (1 << 14) + 5)  # several count blocks
+    kept = x.copy()
+    expected = np.cumsum(x) / np.arange(1, x.size + 1)
+    assert cesaro_mean(x).tobytes() == expected.tobytes()
+    assert x.tobytes() == kept.tobytes()
+    assert cesaro_mean(np.zeros(0)).size == 0
+
+
 def test_cesaro_block_indicator_subsequence_clusters():
     n = 4**10
     chi = CoefficientRule.block_indicator(2).values(n)

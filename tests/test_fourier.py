@@ -180,6 +180,9 @@ class TestCoefficientRule:
         vals = rule.values(10)
         assert vals[0] == pytest.approx(math.sqrt(3.0))
         assert vals[5] == pytest.approx(math.sqrt(2 + math.cos(math.log(5))))
+        n = np.arange(4000, dtype=float)
+        n[0] = 1.0
+        assert rule.values(4000).tobytes() == np.sqrt(2.0 + np.cos(np.log(n))).tobytes()
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -3,7 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from circletrace.dixmier import residue_sequence
 from circletrace.errors import BasisMismatchError, ParameterError
 from circletrace.fourier import (
     CoefficientRule,
@@ -207,9 +210,12 @@ def traced_peak(build):
 
 
 def test_builders_hold_no_entry_sized_temporaries():
-    # one full-size array per operator: the copy of the Hankel view, and the
-    # adopted arrays of every other builder (a builder's array was copied once
-    # more before, so a commutator at n = 512, 16.8 MB, peaked at twice that)
+    # a builder allocates one array per operator, the block it keeps: the
+    # copy of the Hankel view, the multiplication and reflection arrays, and
+    # only blocks for the commutator, the projection and the compression.
+    # Beyond a whole-matrix block it may hold 10% of that block; beyond a
+    # partial one, its coefficient, label and index vectors, at most 512
+    # bytes per basis mode and well under one full-size array
     a = random_symbol(np.random.default_rng(2), 16)
     comm = commutator_matrix(a, 256)
     for build in (
@@ -221,10 +227,13 @@ def test_builders_hold_no_entry_sized_temporaries():
         lambda: compress(comm, full_basis(256), full_basis(256)),
     ):
         op, peak = traced_peak(build)
-        owner = op.matrix if op.matrix.base is None else op.matrix.base
-        assert type(op.matrix) is np.ndarray
-        assert not op.matrix.flags.writeable and not owner.flags.writeable
-        assert peak < 1.1 * op.matrix.nbytes
+        assert type(op.block) is np.ndarray
+        owner = op.block
+        while owner is not None:  # the block and every array it is a view of
+            assert not isinstance(owner, np.ndarray) or not owner.flags.writeable
+            owner = getattr(owner, "base", None)
+        whole = op.block.shape == op.shape
+        assert peak < op.block.nbytes + (0.1 * op.block.nbytes if whole else 512 * max(op.shape))
 
 
 def test_caller_arrays_are_copied_and_stay_writeable():
@@ -243,6 +252,13 @@ def test_szego_operators_are_stored_real():
     ):
         assert op.matrix.dtype == np.float64
         assert np.array_equal(op.matrix, np.diag(np.array(diag, dtype=float)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_szego_matrices_match_the_diagonal_build(n):
+    labels = full_basis(n).labels
+    assert same_bits(szego_projection(n).matrix, np.diag((labels >= 0).astype(float)))
+    assert same_bits(szego_reflection(n).matrix, np.diag(np.where(labels >= 0, 1.0, -1.0)))
 
 
 def test_szego_reflection_properties():
@@ -573,3 +589,149 @@ def test_single_factor_product_keeps_matrix_and_dtype():
         assert prod.matrix.tobytes() == op.matrix.tobytes()
         assert (prod.row_basis, prod.col_basis) == (op.row_basis, op.col_basis)
     assert operator_product([szego_reflection(3), szego_projection(3)]).matrix.dtype == np.float64
+
+
+def dense_route_product(mats):
+    """The product as operators formed it before they carried their support,
+    on dense matrices: each step drops the running product's all-zero rows,
+    the inner indices zero on either side and the next factor's all-zero
+    columns, multiplies the rest, and the result is put back at full size."""
+    block = mats[0]
+    rows, cols = np.arange(block.shape[0]), np.arange(block.shape[1])
+    for right in mats[1:]:
+        keep = block.any(axis=1)
+        inner = block.any(axis=0) & right.any(axis=1)[cols]
+        right_cols = np.flatnonzero(right.any(axis=0))
+        if not (keep.all() and inner.all()):
+            block = block[np.ix_(keep, inner)]
+        if cols[inner].size < right.shape[0] or right_cols.size < right.shape[1]:
+            right = right[np.ix_(cols[inner], right_cols)]
+        block, rows, cols = block @ right, rows[keep], right_cols
+    shape = (mats[0].shape[0], mats[-1].shape[1])
+    if block.shape == shape:
+        return block
+    mat = np.zeros(shape, dtype=block.dtype)
+    mat[np.ix_(rows, cols)] = block
+    return mat
+
+
+@st.composite
+def gapped_symbols(draw):
+    """Trig polynomials with gaps, one-sided ones, constants and zero."""
+    kind = draw(st.sampled_from(["gaps", "plus", "minus", "constant", "zero"]))
+    degree = draw(st.integers(1, 40))
+    if kind in ("constant", "zero"):
+        modes = [0] if kind == "constant" else []
+    else:
+        lo, hi = {"gaps": (-degree, degree), "plus": (1, degree), "minus": (-degree, -1)}[kind]
+        modes = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=12, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return FourierSymbol({k: complex(*rng.standard_normal(2)) for k in modes})
+
+
+@st.composite
+def full_basis_chains(draw):
+    n = draw(st.integers(1, 40))
+    basis = full_basis(n)
+    builders = {
+        "projection": lambda: szego_projection(n),
+        "reflection": lambda: szego_reflection(n),
+        "commutator": lambda: commutator_matrix(draw(gapped_symbols()), n),
+        "multiplication": lambda: multiplication_matrix(draw(gapped_symbols()), basis),
+        # a caller's dense array, zero rows and columns included
+        "caller": lambda: TruncatedOperator(
+            np.array(commutator_matrix(draw(gapped_symbols()), n).matrix), basis, basis
+        ),
+    }
+    names = draw(st.lists(st.sampled_from(sorted(builders)), min_size=1, max_size=4))
+    return n, [builders[name]() for name in names]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(full_basis_chains())
+def test_supported_residue_chain_equals_the_dense_route(chain):
+    # bit for bit up to the sign of zero: where a route sums only exact
+    # zeros, the sign follows the BLAS kernel or the zero fill
+    n, ops = chain
+    block = hardy_compress(operator_product(ops), n)
+    residue = residue_sequence(block)
+    dense = dense_route_product([op.matrix for op in ops])
+    at = _positions_of(full_basis(n), range(n))
+    dense_block = dense[np.ix_(at, at)]
+    sums = np.cumsum(np.diagonal(dense_block))
+    assert block.matrix.dtype == dense_block.dtype
+    assert (block.matrix + 0.0).tobytes() == (dense_block + 0.0).tobytes()
+    assert (residue.partial_sums + 0.0).tobytes() == (sums + 0.0).tobytes()
+    norm = np.log(np.arange(n) + 2.0)
+    assert (residue.values + 0.0).tobytes() == (sums / norm + 0.0).tobytes()
+
+
+def _positions_of(basis, labels):
+    where = {k: i for i, k in enumerate(basis.labels.tolist())}
+    return np.array([where[k] for k in labels])
+
+
+def test_supports_follow_the_symbol_modes():
+    n = 16
+    op = commutator_matrix(FourierSymbol({3: 1.0, 5: 2.0, -2: 1.0}), n)
+    labels = op.row_basis.labels
+    assert sorted(labels[op.rows].tolist()) == list(range(-2, 5))
+    assert sorted(labels[op.cols].tolist()) == list(range(-5, 2))
+    proj = szego_projection(n)
+    assert (labels[proj.rows] >= 0).all() and proj.rows.size == n + 1
+    assert traced_peak(lambda: szego_projection(512))[1] < 100_000  # a view of 1025 numbers
+    for whole in (szego_reflection(n), multiplication_matrix(mode_symbol(1), full_basis(n))):
+        assert whole.block.shape == whole.shape and whole.matrix is whole.block
+
+
+def test_supported_operator_validation():
+    basis = hardy_basis(4)
+    op = TruncatedOperator(np.ones((2, 1)), basis, basis, [1, 3], [2])
+    assert same_bits(op.matrix, _scatter(4, [1, 3], [2]))
+    assert op.diagonal().tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert TruncatedOperator(np.ones((4, 4)), basis, basis).rows.tolist() == [0, 1, 2, 3]
+    for rows, cols, block in (
+        ([3, 1], [2], np.ones((2, 1))),  # not increasing
+        ([1, 4], [2], np.ones((2, 1))),  # beyond the basis
+        ([-1, 1], [2], np.ones((2, 1))),
+        ([1, 3], [2], np.ones((1, 2))),  # block shape disagrees with the support
+        ([1, 3], [2], np.array([[1.0], [np.inf]])),
+    ):
+        with pytest.raises(ParameterError):
+            TruncatedOperator(block, basis, basis, rows, cols)
+
+
+def _scatter(size, rows, cols):
+    mat = np.zeros((size, size))
+    mat[np.ix_(rows, cols)] = 1.0
+    return mat
+
+
+def test_residue_chain_holds_no_full_size_array():
+    # the dense route holds a 1025 x 1025 complex array (16.8 MB) per
+    # commutator at n = 512; the supported one only blocks of d(d+1) scale
+    rng = np.random.default_rng(12)
+    a, b = random_symbol(rng, 16), random_symbol(rng, 16)
+    n = 512
+
+    def chain():
+        ops = [szego_projection(n), commutator_matrix(a, n), commutator_matrix(b, n)]
+        return residue_sequence(hardy_compress(operator_product(ops), n))
+
+    chain()
+    residue, peak = traced_peak(chain)
+    assert residue.size == n
+    assert peak < 2_000_000
+
+
+def test_winding_dump_writes_the_dense_commutator(tmp_path):
+    from circletrace.cli import main
+
+    a = FourierSymbol({2: complex(-1.5, 0.0), -1: complex(0.25, -0.5), 0: complex(-2.0, 1.0)})
+    out = tmp_path / "op.json"
+    arg = json.dumps({"modes": [[k, v.real, v.imag] for k, v in sorted(a.coeffs.items())]})
+    argv = ["winding", "--a", arg, "--N", "6", "--dump-operator", str(out)]
+    assert main([*argv, "--out", str(tmp_path / "report.json")]) == 0
+    basis = full_basis(6)
+    dense = TruncatedOperator(gathered_commutator(a, 6), basis, basis)
+    assert out.read_bytes() == json.dumps(operator_to_json_obj(dense)).encode()

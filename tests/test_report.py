@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -196,3 +198,78 @@ def test_fast_path_takes_a_real_pairing_trace(monkeypatch):
     lanes = _count_fallback_lanes(monkeypatch)
     assert vector_lines(imaginary) == percent_lines(imaginary)
     assert lanes == []
+
+
+def list_backed(report: Report) -> Report:
+    """The same report with every sequence held as the lists ``tolist`` gives,
+    the form reports kept their sequences in before they kept arrays."""
+    out = Report(kind=report.kind, inputs=report.inputs, scalars=report.scalars)
+    out.sequences = [
+        {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in seq.items()}
+        for seq in report.sequences
+    ]
+    return out
+
+
+ARRAY_SEQUENCES = [
+    # int64 points at and beyond 2**53, where the float route stops
+    (np.array([2**53 - 1, -(2**53) + 1, 0, 7]), np.arange(4.0)),
+    (np.array([2**53, 2**53 + 1, 2**62, -(2**63)]), np.arange(4.0)),
+    (np.tile([2**53 - 1, -(2**53) + 1], _VECTOR_MIN), np.ones(2 * _VECTOR_MIN)),
+    (np.tile([2**53, 3], _VECTOR_MIN), np.ones(2 * _VECTOR_MIN)),
+    (np.arange(3, dtype=np.uint64), np.array([-0.0, 5e-324, 1e308])),
+    (np.arange(2 * _BLOCK + 1), np.resize([-0.0, 5e-324, 1e308, -1e308, 0.1], 2 * _BLOCK + 1)),
+    (np.arange(4), np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1e308j])),
+    (np.arange(_BLOCK + 3), np.resize([complex(-0.0, 0.0), complex(2.5, -0.0), 1j], _BLOCK + 3)),
+    (np.arange(3), np.array([True, False, True])),
+    (np.arange(_VECTOR_MIN + 1), np.arange(_VECTOR_MIN + 1) % 3 == 0),
+    (np.arange(3), np.array([-4, 0, 2**60])),
+    (np.arange(_VECTOR_MIN), np.arange(_VECTOR_MIN) - 7),
+    (np.arange(0), np.zeros(0)),
+    (np.arange(0), np.zeros(0, dtype=complex)),
+    (np.array([5]), np.array([-0.0])),
+    (np.array([5]), np.array([complex(-0.0, -0.0)])),
+    (np.array([1.5, -0.0, 1e300]), np.arange(3.0)),  # float points print as str in CSV
+    (np.arange(3, dtype=np.int32), np.array([0.1, -0.0, 3e38], dtype=np.float32)),
+    (np.arange(2), np.array([0.1 - 0.0j, 1e-30j], dtype=np.complex64)),
+    (np.arange(6)[::2], (np.arange(6) * (1 - 1j))[::-2]),  # strided views
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("points, values", ARRAY_SEQUENCES, ids=range(len(ARRAY_SEQUENCES)))
+def test_array_sequences_write_the_bytes_of_their_lists(points, values, fmt):
+    report = Report(kind="FourierTrace")
+    report.add_sequence("s", "x", "y", points, values)
+    assert report.sequences[0]["points"] is points and report.sequences[0]["values"] is values
+    assert emit_report(report, fmt) == emit_report(list_backed(report), fmt)
+
+
+def test_body_is_a_plain_tree():
+    report = Report(kind="FourierTrace")
+    report.add_sequence("s", "x", "y", np.arange(2), np.array([0.5, 1j]))
+    assert report.body()["sequences"][0]["points"] == [0, 1]
+    assert report.body()["sequences"][0]["values"] == [0.5, 1j]
+
+
+def test_fourier_trace_json_emit_holds_little_beside_its_output():
+    """The emit keeps no list of the values and no second copy of the text:
+    its traced peak stays within the output size plus 2 MB (a buffer growing
+    by an eighth at a time, and one 4,000-row block of formatting arrays)."""
+    from circletrace.cli import ExperimentConfig, run_experiment
+
+    rng = np.random.default_rng(4)
+    a = {k: complex(*rng.uniform(-1.0, 1.0, 2)) for k in range(-16, 17)}
+    modes = lambda c: {"modes": [[k, c[k].real, c[k].imag] for k in sorted(c)]}
+    b = {-k: v.conjugate() for k, v in a.items()}
+    params = {"a": modes(a), "b": modes(b), "N": 2**17}
+    report = run_experiment(ExperimentConfig("FourierTrace", params))
+    emit_report(report, "json")  # lazily built tables are not the emit's
+    tracemalloc.start()
+    try:
+        text = emit_report(report, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 7_000_000
+    assert peak < len(text) + 2_000_000

@@ -103,6 +103,8 @@ def test_decay_slope_rejects_bad_windows():
         decay_slope(spec, 0, 8)
     with pytest.raises(ParameterError):
         decay_slope(spec, 4, 32)
+    with pytest.raises(ParameterError, match=r"window \[8, 9\) holds one index"):
+        decay_slope(spec, 8, 9)  # a line through one point has no determined slope
     zeros = SingularSpectrum(np.concatenate([np.ones(4), np.zeros(4)]))
     with pytest.raises(ParameterError):
         decay_slope(zeros, 1, 8)
