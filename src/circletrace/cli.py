@@ -53,9 +53,15 @@ from .nc_torus import (
     identity_coefficients,
     torus_trace_partial,
 )
-from .operators import commutator_matrix, hankel_matrix, operator_to_json_obj
+from .operators import dense_commutator, hankel_matrix, operator_to_json_obj
 from .report import Report, emit_report
-from .spectral import decay_slope, lacunary_hankel_spectrum, singular_values, weak_quasinorm
+from .spectral import (
+    check_fit_window,
+    decay_slope,
+    lacunary_hankel_spectrum,
+    singular_values,
+    weak_quasinorm,
+)
 
 __all__ = ["Limits", "ExperimentConfig", "run_experiment", "emit_report", "main"]
 
@@ -147,12 +153,6 @@ class _Table:
         return self.make(**values)
 
 
-def _record(cls: type, cli: tuple[str, ...] = ()) -> _Table:
-    """Table of a dataclass of numbers, each field parsed by the type of its default."""
-    params = (Param(f.name, type(f.default), f.default, cli=f.name in cli) for f in fields(cls))
-    return _Table("", *params, make=cls)
-
-
 def _read_json(path: str):
     """The JSON document in a file; an unreadable or invalid file is a ParameterError."""
     try:
@@ -167,7 +167,9 @@ _INT_EXPR = re.compile(r"^\s*(\d+)\s*(?:\*\*|\^)\s*(\d+)\s*$")
 
 
 def parse_int_expr(text) -> int:
-    """Accept plain integers and the power shorthands 2**40 / 2^40."""
+    """Accept plain integers and the power shorthands 2**40 / 2^40, never a bool or a float."""
+    if isinstance(text, bool):
+        raise ParameterError(f"expected an integer, got {text!r}")
     if isinstance(text, (int, np.integer)):
         return int(text)
     s = str(text)
@@ -180,12 +182,29 @@ def parse_int_expr(text) -> int:
         raise ParameterError(f"cannot parse integer expression {text!r}")
 
 
+def parse_bool(value) -> bool:
+    """A JSON boolean; no other value is read as one."""
+    if not isinstance(value, bool):
+        raise ParameterError(f"expected true or false, got {value!r}")
+    return value
+
+
 def parse_size(text) -> int:
     """A positive integer, in any form ``parse_int_expr`` accepts."""
     value = parse_int_expr(text)
     if value < 1:
         raise ParameterError(f"must be a positive integer, got {value}")
     return value
+
+
+def _record(cls: type, cli: tuple[str, ...] = ()) -> _Table:
+    """Table of a dataclass of numbers: positive int fields parsed by
+    ``parse_size``, float fields by ``float``."""
+    parse = {int: parse_size, float: float}
+    params = (
+        Param(f.name, parse[type(f.default)], f.default, cli=f.name in cli) for f in fields(cls)
+    )
+    return _Table("", *params, make=cls)
 
 
 def rule_from_obj(obj) -> CoefficientRule:
@@ -226,7 +245,7 @@ def _rule_json(rule: CoefficientRule) -> dict:
 # The lacunary series W(alpha, gamma, c), shared by the kinds that build one
 # and by the {"weierstrass": ...} symbol spec.
 _ALPHA = Param("alpha", float, 0.5)
-_GAMMA = Param("gamma", int, 2)
+_GAMMA = Param("gamma", parse_int_expr, 2)
 _C = Param("c", rule_from_obj, "constant:1", flag="--coeffs", help="coefficient rule for c")
 _WEIERSTRASS_SPEC = _Table(
     "weierstrass", _ALPHA, _GAMMA, _C, Param("cutoff", parse_int_expr),
@@ -410,8 +429,8 @@ def _run_measurability(limits: Limits, *, N, policy, entries, label, gamma, c, d
     "SingularValueSweep", "singular-sweep", "Hankel singular values of a lacunary symbol",
     _ALPHA, _GAMMA, _C, Param("N", parse_size, 1024),
     Param("p", float, lambda v: 1.0 / v["alpha"], help="quasinorm exponent, default: 1/alpha"),
-    Param("k_lo", int, None, help="default: 16, or max(1, k_hi // 2) when k_hi < 18"),
-    Param("k_hi", int, None, help="default: min(512, N/4, numerical rank)"),
+    Param("k_lo", parse_int_expr, None, help="default: 16, or max(1, k_hi // 2) when k_hi < 18"),
+    Param("k_hi", parse_int_expr, None, help="default: min(512, N/4, numerical rank)"),
 )
 def _run_singular_sweep(limits: Limits, *, alpha, gamma, c, N, p, k_lo, k_hi) -> Report:
     if N > limits.max_tuples:
@@ -421,11 +440,7 @@ def _run_singular_sweep(limits: Limits, *, alpha, gamma, c, N, p, k_lo, k_hi) ->
     cap = min(512, N // 4)
     if k_lo is not None or k_hi is not None:
         hi = cap if k_hi is None else k_hi
-        lo = _default_k_lo(k_lo, hi)
-        if not 1 <= lo < hi <= N:
-            raise ParameterError(f"window [{lo}, {hi}) out of range for spectrum of length {N}")
-        if hi - lo < 2:
-            raise ParameterError(f"window [{lo}, {hi}) holds one index; a slope needs two")
+        check_fit_window(_default_k_lo(k_lo, hi), hi, N)
     symbol = weierstrass_symbol(WeierstrassParams(alpha=alpha, gamma=gamma, c=c), 2 * N)
     # Every mode is a real power of gamma, so with none in (N, 2N) the block is
     # H_P (+) 0 and its spectrum is closed form; otherwise the dense route.
@@ -466,8 +481,6 @@ _B = replace(_A, name="b")
     Param("grid", parse_size, lambda v: 8 * v["N"], help="default: 8*N"),
 )
 def _run_kernel_check(limits: Limits, *, a, b, N, r, grid) -> Report:
-    if N > limits.max_matrix:
-        raise ResourceLimitError(f"kernel truncation {N} exceeds {limits.max_matrix}")
     if grid > limits.max_tuples:
         raise ResourceLimitError(f"quadrature grid of {grid} points exceeds {limits.max_tuples}")
     value = cf.integral_trace(a, b, cf.KernelParams(n_trunc=N, r=r, grid=grid))
@@ -583,7 +596,7 @@ def _run_hn_check(limits: Limits, *, m_max, N, t_points) -> Report:
 
 @_kind(
     "FourierTrace", "fourier-trace", "Fourier-side trace partial sums",
-    _A, _B, Param("N", parse_size, 256), Param("symmetric", bool, False),
+    _A, _B, Param("N", parse_size, 256), Param("symmetric", parse_bool, False),
 )
 def _run_fourier_trace(limits: Limits, *, a, b, N, symmetric) -> Report:
     if N > limits.max_tuples:
@@ -652,7 +665,7 @@ def _execute(config: ExperimentConfig, dump_operator: str | None = None) -> None
     with np.errstate(all="ignore"):  # no warnings: the report refuses any inf or nan
         report = run_experiment(config)
     if dump_operator:
-        obj = operator_to_json_obj(commutator_matrix(params["a"], params["N"]))
+        obj = operator_to_json_obj(dense_commutator(params["a"], params["N"]))
         _write_file(dump_operator, json.dumps(obj).encode())
     _write_output(emit_report(report, config.out_format), config.out_path)
 
@@ -670,7 +683,7 @@ def _add_flags(parser: argparse.ArgumentParser, table: _Table) -> None:
             _add_flags(parser, p.parse)
         elif p.cli:
             flag = p.flag or "--" + p.name.replace("_", "-")
-            how = {"action": "store_true"} if p.parse is bool else {}
+            how = {"action": "store_true"} if p.parse is parse_bool else {}
             parser.add_argument(
                 flag, dest=p.name, required=p.default is _REQUIRED, help=_help(p), **how
             )

@@ -23,6 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BasisMismatchError, ParameterError
+from .fourier import gamma_powers
 from .operators import OrderingRule, TruncatedOperator
 
 __all__ = [
@@ -160,13 +161,10 @@ class MeasurabilityVerdict:
 
 
 def _window_bounds(length: int, base: int) -> list[tuple[int, int]]:
-    """Complete geometric index windows [base^j, base^(j+1)) inside the sequence."""
-    bounds = []
-    lo = base * base  # skip the first tiny windows
-    while lo * base <= length:
-        bounds.append((lo, lo * base))
-        lo *= base
-    return bounds
+    """Complete geometric index windows [base^j, base^(j+1)) inside the
+    sequence, from j = 2 on to skip the first tiny windows."""
+    powers = gamma_powers(base, length)
+    return list(zip(powers[2:], powers[3:]))
 
 
 def classify_limit(x, policy: ClassifyPolicy | None = None) -> MeasurabilityVerdict:

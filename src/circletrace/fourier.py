@@ -27,6 +27,7 @@ __all__ = [
     "mode_symbol",
     "cosine_symbol",
     "weierstrass_symbol",
+    "gamma_powers",
     "circle_grid",
     "sample_to_symbol",
     "hardy_split",
@@ -183,11 +184,8 @@ class CoefficientRule:
         if self.extension == "block-indicator":
             out = np.ones(count)
             g = int(self.base)  # validated >= 2
-            lo = 1  # g^(2j) for j = 0
-            while lo < count:
-                hi = lo * g
-                out[lo : min(hi, count)] = 0.0
-                lo *= g * g
+            for lo in gamma_powers(g, count - 1)[::2]:  # g^(2j)
+                out[lo : lo * g] = 0.0
             return out
         # sqrt-log-cos, formed in place
         out = np.arange(count, dtype=float)
@@ -214,13 +212,24 @@ class WeierstrassParams:
         object.__setattr__(self, "gamma", int(self.gamma))
 
 
+def gamma_powers(gamma: int, limit: int) -> list[int]:
+    """The lacunary levels 1, gamma, gamma^2, ... that are at most ``limit``
+    (none when ``limit`` < 1), as exact integers; gamma must be an integer >= 2."""
+    step = int(gamma)
+    if step != gamma or step < 2:
+        raise ParameterError(f"gamma must be an integer >= 2, got {gamma}")
+    powers, power = [], 1
+    while power <= limit:
+        powers.append(power)
+        power *= step
+    return powers
+
+
 def weierstrass_symbol(params: WeierstrassParams, k_cutoff: int) -> FourierSymbol:
     """Symbol with coefficient gamma^(-alpha*n)*c_n at modes +-gamma^n, gamma^n <= k_cutoff."""
     if k_cutoff < 1:
         raise ParameterError("k_cutoff must be >= 1")
-    powers = [1]
-    while powers[-1] * params.gamma <= k_cutoff:
-        powers.append(powers[-1] * params.gamma)
+    powers = gamma_powers(params.gamma, k_cutoff)
     coeffs: dict[int, complex] = {}
     for n, (power, cn) in enumerate(zip(powers, params.c.values(len(powers)))):
         amp = params.gamma ** (-params.alpha * n) * cn

@@ -39,6 +39,7 @@ __all__ = [
     "antiholomorphic_basis",
     "hankel_matrix",
     "commutator_matrix",
+    "dense_commutator",
     "multiplication_matrix",
     "szego_projection",
     "szego_reflection",
@@ -180,38 +181,18 @@ def _built(
     col_basis: BasisIndexMap,
     rows: np.ndarray | None = None,
     cols: np.ndarray | None = None,
-    cls: type = TruncatedOperator,
-    **extra,
 ) -> TruncatedOperator:
-    """An operator of class ``cls`` that keeps ``block``, an array its builder
-    has just made and no longer writes, instead of copying it, with the
-    ``extra`` attributes set before the checks.
+    """An operator that keeps ``block``, an array its builder has just made
+    and no longer writes, instead of copying it.
 
     It runs the same ``__post_init__`` checks as the public constructor,
     which freezes the block; a block that is a view must have a read-only
     owner.
     """
-    op = object.__new__(cls)
-    fields = dict(block=block, row_basis=row_basis, col_basis=col_basis, rows=rows, cols=cols)
-    for name, value in {**fields, **extra}.items():
-        object.__setattr__(op, name, value)
+    op = object.__new__(TruncatedOperator)
+    vars(op).update(block=block, row_basis=row_basis, col_basis=col_basis, rows=rows, cols=cols)
     op.__post_init__(_keep=True)
     return op
-
-
-class _Commutator(TruncatedOperator):
-    """[P, a] that also keeps ``coeffs[k + 2n] = a_k`` (|k| <= 2n), from which
-    ``matrix`` forms every entry sign * a_{m-l}, so the zeros outside the
-    block keep the signs that product gives them."""
-
-    coeffs: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        labels = self.row_basis.labels
-        mat = _commutator_entries(self.coeffs, labels, labels)
-        mat.setflags(write=False)
-        return mat
 
 
 def _coeff_lookup(a: FourierSymbol, lo: int, hi: int) -> np.ndarray:
@@ -288,8 +269,19 @@ def commutator_matrix(a: FourierSymbol, n: int) -> TruncatedOperator:
     rows = np.flatnonzero((labels >= -bottom) & (labels < top))
     cols = np.flatnonzero((labels >= -top) & (labels < bottom))
     block = _commutator_entries(vec, labels[rows], labels[cols])
-    vec.setflags(write=False)
-    return _built(block, basis, basis, rows, cols, cls=_Commutator, coeffs=vec)
+    return _built(block, basis, basis, rows, cols)
+
+
+def dense_commutator(a: FourierSymbol, n: int) -> TruncatedOperator:
+    """``commutator_matrix(a, n)`` as one dense block, every entry the product
+    sign * a_{m-l}, so the zeros outside the support keep the signs that
+    product gives them (the ``--dump-operator`` bytes)."""
+    if n < 1:
+        raise ParameterError("truncation size must be >= 1")
+    basis = full_basis(n)
+    labels = basis.labels
+    vec = _coeff_lookup(a, -2 * n, 2 * n)
+    return _built(_commutator_entries(vec, labels, labels), basis, basis)
 
 
 def multiplication_matrix(a: FourierSymbol, basis: BasisIndexMap) -> TruncatedOperator:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SpectralError
-from .fourier import FourierSymbol
+from .fourier import FourierSymbol, gamma_powers
 from .operators import TruncatedOperator
 
 __all__ = [
@@ -16,6 +16,7 @@ __all__ = [
     "lacunary_hankel_spectrum",
     "weak_quasinorm",
     "decay_slope",
+    "check_fit_window",
     "hermitian_eigenvalues",
 ]
 
@@ -85,12 +86,7 @@ def lacunary_hankel_spectrum(a: FourierSymbol, gamma: int, n: int) -> SingularSp
     """
     if n < 1:
         raise ParameterError("truncation size must be >= 1")
-    if int(gamma) != gamma or gamma < 2:
-        raise ParameterError(f"gamma must be an integer >= 2, got {gamma}")
-    gamma = int(gamma)
-    powers = [1]
-    while powers[-1] * gamma <= n:
-        powers.append(powers[-1] * gamma)
+    powers = gamma_powers(gamma, n)
     for k, v in a.coeffs.items():
         if not 1 <= k < 2 * n:
             continue
@@ -121,6 +117,17 @@ def weak_quasinorm(spectrum: SingularSpectrum, p: float) -> float:
     return float(np.max((1.0 + k) ** (1.0 / p) * spectrum.mu))
 
 
+def check_fit_window(k_lo: int, k_hi: int, length: int) -> None:
+    """Refuse a fit window [k_lo, k_hi) outside 1 <= k_lo < k_hi <= length,
+    or one that holds a single index."""
+    if not (1 <= k_lo < k_hi <= length):
+        raise ParameterError(
+            f"window [{k_lo}, {k_hi}) out of range for spectrum of length {length}"
+        )
+    if k_hi - k_lo < 2:
+        raise ParameterError(f"window [{k_lo}, {k_hi}) holds one index; a slope needs two")
+
+
 def decay_slope(
     spectrum: SingularSpectrum, k_lo: int, k_hi: int, samples: int = 64
 ) -> float:
@@ -131,12 +138,7 @@ def decay_slope(
     octave instead of per index; ``samples=0`` fits every index densely.
     Exact power laws give the same slope either way.
     """
-    if not (1 <= k_lo < k_hi <= len(spectrum)):
-        raise ParameterError(
-            f"window [{k_lo}, {k_hi}) out of range for spectrum of length {len(spectrum)}"
-        )
-    if k_hi - k_lo < 2:
-        raise ParameterError(f"window [{k_lo}, {k_hi}) holds one index; a slope needs two")
+    check_fit_window(k_lo, k_hi, len(spectrum))
     window = spectrum.mu[k_lo:k_hi]
     if np.any(window <= 0):
         rank = int(np.count_nonzero(spectrum.mu > 0))

@@ -272,6 +272,14 @@ def test_singular_sweep_default_window_of_one_index_exits_2(n, capsys):
     assert line == "parameter error: window [1, 2) holds one index; a slope needs two"
 
 
+def test_kernel_check_runs_above_the_matrix_cap(tmp_path):
+    # it builds no matrix: the grid, 8N by default, is bounded by max_tuples alone
+    out = tmp_path / "kernel.json"
+    argv = ["kernel-check", "--a", "z^1", "--b", "z^-1", "--N", "8192"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["inputs"]["grid"] == 65536
+
+
 def test_kernel_check_at_the_matrix_cap_runs(tmp_path):
     out = tmp_path / "kernel.json"
     argv = ["kernel-check", "--a", "z^1", "--b", "z^-1", "--N", "4096"]
@@ -559,6 +567,11 @@ def test_batch_document_must_be_object_or_list(doc, tmp_path, capsys):
         ("HnCheck", {"m_max": "four"}, "m_max:"),
         ("HnCheck", {"N": 8, "t_points": 0}, "t_points:"),
         ("KernelCheck", {"a": "z^1", "b": "z^-1", "N": 16, "grid": "-3"}, "grid:"),
+        ("WeierstrassTrace", {"gamma": 2.5}, "gamma:"),
+        ("SingularValueSweep", {"N": 64, "k_lo": 2.9}, "k_lo:"),
+        ("SingularValueSweep", {"N": 64, "k_hi": True}, "k_hi:"),
+        ("FourierTrace", {"a": "z^2", "b": "z^-2", "N": 16, "symmetric": "false"}, "symmetric:"),
+        ("Measurability", {"N": "4**7", "gamma": True}, "gamma:"),
     ],
 )
 def test_rejected_params_name_the_parameter(kind, params, named, tmp_path, capsys):
@@ -645,7 +658,7 @@ BAD_SYMBOLS = [
     {"nothing": 1},
 ]
 BAD_ENTRIES = [5, [7], [{"gama": 3}], [{"c": "nonsense:1"}]]
-BAD_POLICIES = [{"window_count": "x"}, {"windows": 3}, {"rel_gap": -1.0}, 5]
+BAD_POLICIES = [{"window_count": "x"}, {"windows": 3}, {"rel_gap": -1.0}, 5, {"window_count": 3.9}]
 BAD_TWISTS = [{"random": "x"}, {"matrix": "abc"}, {"matrix": [[0, 1], [1, 0]]}, {}, "one"]
 BAD_LATTICE_SYMBOLS = [
     5,
@@ -666,7 +679,10 @@ BAD_NESTED = {
     "theta": BAD_TWISTS,
     "symbols": BAD_LATTICE_SYMBOLS,
 }
-BAD_LIMITS = [{"max_matrix": "x"}, {"max_matrx": 10}, {"max_tuples": []}, 5]
+BAD_LIMITS = [
+    {"max_matrix": "x"}, {"max_matrx": 10}, {"max_tuples": []}, 5, {"max_matrix": 2.7},
+    {"max_tuples": True}, {"max_matrix": 0},
+]
 NOT_A_NUMBER = st.one_of(
     st.text(alphabet="abcxyz", min_size=1, max_size=5),
     st.lists(st.integers(), max_size=2),
@@ -722,6 +738,17 @@ def _run_batch(doc) -> tuple[int, str]:
         with contextlib.redirect_stderr(err):
             code = main(["run", "--config", path])
     return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"kind": "HnCheck", "limits": limits} for limits in BAD_LIMITS]
+    + [{"kind": "Measurability", "params": {"policy": policy}} for policy in BAD_POLICIES],
+)
+def test_bad_limits_and_policies_exit_2(entry):
+    code, err = _run_batch([copy.deepcopy(entry)])
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("parameter error: ")
 
 
 def test_small_configs_run():

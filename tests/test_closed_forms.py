@@ -186,9 +186,8 @@ class TestSzegoSquareKernel:
         assert value == pytest.approx(17.0 * 18.0 / 2.0 / math.log(16))
 
     def test_antipodal_even(self):
-        assert szego_square_kernel(1.0, -1.0, 16) == pytest.approx(
-            1.0 / (2.0 * math.log(16))
-        )
+        # sum_{k<=16} (k+1) (-1)^k = 9
+        assert szego_square_kernel(1.0, -1.0, 16) == pytest.approx(9.0 / math.log(16))
 
     def test_near_points_match_the_ramp_horner_loop(self):
         # the loop both kernels summed near w = 1 before they shared _horner
@@ -209,10 +208,22 @@ class TestSzegoSquareKernel:
             assert same_bits(_ramp_polynomial(near, n, switch=1e-4), ramp_loop(near, n))
 
     def test_branches_agree_inside_disc(self):
-        # on a radius where the dropped tail is negligible both branches match
-        w = 0.5 * np.exp(1j * np.linspace(0, 2 * np.pi, 7))
-        direct = (1.0 - w**17) / (1.0 - w) ** 2 / math.log(16)
-        assert np.allclose(szego_square_kernel(w, 1.0, 16), direct, rtol=1e-12)
+        # both branches against the explicit series: just inside and just
+        # outside the 1e-4 switch, around the old 2^-20 one, on |w| = 0.5
+        # and at w = -1
+        turns = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 7)[:-1])
+        w = np.concatenate(
+            [1.0 - gap * turns for gap in (0.99e-4, 1.01e-4, 0.99 * 2.0**-20, 1.01 * 2.0**-20)]
+            + [0.5 * turns, [-1.0]]
+        )
+        for n in (2, 16, 255, 4096):
+            series = [
+                complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+                for terms in ([(k + 1) * complex(x) ** k for k in range(n + 1)] for x in w)
+            ]
+            expected = np.array(series) / math.log(n)
+            got = szego_square_kernel(w, 1.0, n)
+            assert np.all(np.abs(got - expected) <= 1e-8 * np.abs(expected))
 
 
 class TestIntegralTrace:
