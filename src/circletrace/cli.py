@@ -39,6 +39,7 @@ from .fourier import (
     CoefficientRule,
     FourierSymbol,
     WeierstrassParams,
+    gamma_powers,
     mode_symbol,
     symbol_from_json_obj,
     weierstrass_symbol,
@@ -182,6 +183,20 @@ def parse_int_expr(text) -> int:
         raise ParameterError(f"cannot parse integer expression {text!r}")
 
 
+def parse_float(value) -> float:
+    """A real number or its string form, never a bool."""
+    if isinstance(value, bool):
+        raise ParameterError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def parse_gamma(text) -> int:
+    """A lacunary base: an integer >= 2, in any form ``parse_int_expr`` accepts."""
+    gamma = parse_int_expr(text)
+    gamma_powers(gamma, 0)  # refuses a base below 2
+    return gamma
+
+
 def parse_bool(value) -> bool:
     """A JSON boolean; no other value is read as one."""
     if not isinstance(value, bool):
@@ -199,8 +214,8 @@ def parse_size(text) -> int:
 
 def _record(cls: type, cli: tuple[str, ...] = ()) -> _Table:
     """Table of a dataclass of numbers: positive int fields parsed by
-    ``parse_size``, float fields by ``float``."""
-    parse = {int: parse_size, float: float}
+    ``parse_size``, float fields by ``parse_float``."""
+    parse = {int: parse_size, float: parse_float}
     params = (
         Param(f.name, parse[type(f.default)], f.default, cli=f.name in cli) for f in fields(cls)
     )
@@ -244,8 +259,8 @@ def _rule_json(rule: CoefficientRule) -> dict:
 
 # The lacunary series W(alpha, gamma, c), shared by the kinds that build one
 # and by the {"weierstrass": ...} symbol spec.
-_ALPHA = Param("alpha", float, 0.5)
-_GAMMA = Param("gamma", parse_int_expr, 2)
+_ALPHA = Param("alpha", parse_float, 0.5)
+_GAMMA = Param("gamma", parse_gamma, 2)
 _C = Param("c", rule_from_obj, "constant:1", flag="--coeffs", help="coefficient rule for c")
 _WEIERSTRASS_SPEC = _Table(
     "weierstrass", _ALPHA, _GAMMA, _C, Param("cutoff", parse_int_expr),
@@ -428,7 +443,8 @@ def _run_measurability(limits: Limits, *, N, policy, entries, label, gamma, c, d
 @_kind(
     "SingularValueSweep", "singular-sweep", "Hankel singular values of a lacunary symbol",
     _ALPHA, _GAMMA, _C, Param("N", parse_size, 1024),
-    Param("p", float, lambda v: 1.0 / v["alpha"], help="quasinorm exponent, default: 1/alpha"),
+    Param("p", parse_float, lambda v: 1.0 / v["alpha"],
+          help="quasinorm exponent, default: 1/alpha"),
     Param("k_lo", parse_int_expr, None, help="default: 16, or max(1, k_hi // 2) when k_hi < 18"),
     Param("k_hi", parse_int_expr, None, help="default: min(512, N/4, numerical rank)"),
 )
@@ -477,7 +493,7 @@ _B = replace(_A, name="b")
 
 @_kind(
     "KernelCheck", "kernel-check", "integral kernel quadrature vs double sum",
-    _A, _B, Param("N", parse_size, 64), Param("r", float, 1.0 - 1e-6),
+    _A, _B, Param("N", parse_size, 64), Param("r", parse_float, 1.0 - 1e-6),
     Param("grid", parse_size, lambda v: 8 * v["N"], help="default: 8*N"),
 )
 def _run_kernel_check(limits: Limits, *, a, b, N, r, grid) -> Report:
@@ -507,7 +523,7 @@ def _double_sum(a: FourierSymbol, b: FourierSymbol, n_trunc: int) -> complex:
 def _run_winding(limits: Limits, *, a, N) -> Report:
     if N >= 2**63:
         raise ParameterError(f"N = {N} is beyond the int64 range of the safe band")
-    grid = 1 << (16 * max(a.n_max, 1) - 1).bit_length()  # the grid invert_symbol samples
+    grid = cf.inverse_grid_size(a)
     if grid > limits.max_tuples:
         raise ResourceLimitError(f"inverse grid of {grid} points exceeds {limits.max_tuples}")
     result = cf.winding_report(a, N)

@@ -16,7 +16,6 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -46,6 +45,7 @@ __all__ = [
     "winding_trace",
     "winding_report",
     "invert_symbol",
+    "inverse_grid_size",
 ]
 
 
@@ -153,21 +153,31 @@ def weierstrass_trace(
     )
 
 
+_HORNER_BLOCK_BYTES = 1 << 18  # coefficient rows broadcast to all lanes at once
+
+
 def _horner(u, table: np.ndarray) -> np.ndarray:
     """Row i is sum_k table[k, i] u^k, by Horner's rule over the first axis.
 
     The same IEEE steps, lane by lane, as numpy.polynomial.polynomial's
     ``polyval(u, table, tensor=True)`` (start from table[-1] + u*0, then
-    acc*u + table[k]), so the values are bit for bit the same; the
-    accumulator is updated in place.
+    acc*u + table[k]), so the values are bit for bit the same.  Every
+    (column, point) pair is one lane of a flat contiguous accumulator updated
+    in place; ``u`` is broadcast to the lanes once, and the coefficient rows
+    are broadcast by ``np.repeat`` in blocks of at most _HORNER_BLOCK_BYTES.
     """
     u = np.asarray(u)
-    table = table.reshape(table.shape + (1,) * u.ndim)
-    acc = table[-1] + u * 0
-    for row in table[-2::-1]:
-        np.multiply(acc, u, out=acc)
-        np.add(acc, row, out=acc)
-    return acc
+    lanes = table.shape[1:] + u.shape
+    acc = (table[-1].reshape(table.shape[1:] + (1,) * u.ndim) + u * 0).ravel()
+    u_lanes = np.broadcast_to(u, lanes).ravel()
+    coeffs = table.reshape(len(table), -1)
+    step = max(1, _HORNER_BLOCK_BYTES // max(1, acc.size * table.itemsize))
+    for stop in range(len(table) - 1, 0, -step):
+        block = np.repeat(coeffs[max(0, stop - step) : stop][::-1], u.size, axis=1)
+        for row in block:
+            np.multiply(acc, u_lanes, acc)
+            np.add(acc, row, acc)
+    return acc.reshape(lanes)
 
 
 def _ramp_polynomial(w: np.ndarray, n_trunc: int, switch: float = 1e-4) -> np.ndarray:
@@ -293,19 +303,39 @@ def _derivative_scales(n_trunc: int, ms: list[int]) -> np.ndarray:
 
 
 def _as_floats(values, n_trunc: int, ms: list[int]) -> np.ndarray:
+    """Exact Python ints, each rounded once to the nearest float64."""
     try:
-        return np.fromiter(values, dtype=float)
+        return np.asarray(values, dtype=object).astype(float)
     except OverflowError:
         raise ParameterError(
             f"sphere kernel constants overflow float64 at N = {n_trunc}, m up to {max(ms)}"
         ) from None
 
 
+_BINOMIAL_ROWS = 2048  # rows of exact integers alive at once
+
+
 def _fill_binomials(table: np.ndarray, n_trunc: int, ms: list[int]) -> None:
-    """Column i = C(k+m_i-1, m_i-1) for k = 0..N, exact integers rounded once."""
-    for column, mi in zip(table.T, ms):
-        binomials = map(math.comb, range(mi - 1, n_trunc + mi), repeat(mi - 1))
-        column[:] = _as_floats(binomials, n_trunc, ms)
+    """Column i = C(k+m_i-1, m_i-1) for k = 0..N, exact integers rounded once.
+
+    By the hockey-stick identity order m is the running sum over k of order
+    m-1, starting from the ones of order 1: an object-dtype cumsum of Python
+    ints, taken over _BINOMIAL_ROWS rows at a time with one carry per order.
+    """
+    carry = [0] * (max(ms) + 1)
+    for start in range(0, n_trunc + 1, _BINOMIAL_ROWS):
+        rows = slice(start, min(start + _BINOMIAL_ROWS, n_trunc + 1))
+        column = np.ones(rows.stop - start, dtype=object)
+        for order in range(1, max(ms) + 1):
+            if order > 1:
+                column[0] += carry[order]
+                column = np.cumsum(column)
+                carry[order] = column[-1]
+            if order in ms:
+                rounded = _as_floats(column, n_trunc, ms)
+                for i, mi in enumerate(ms):
+                    if mi == order:
+                        table[rows, i] = rounded
 
 
 def _fill_derivative_passes(table: np.ndarray, n_trunc: int, ms: list[int]) -> None:
@@ -378,6 +408,11 @@ def sphere_kernel_routes(t, n_trunc: int, m):
     return (rows[:k], rows[k:]) if np.ndim(m) else (rows[0], rows[1])
 
 
+def inverse_grid_size(a: FourierSymbol) -> int:
+    """Points ``invert_symbol`` samples: the power of two >= 16 * band, at least 64."""
+    return 1 << max((16 * max(a.n_max, 1) - 1).bit_length(), 6)
+
+
 def invert_symbol(
     a: FourierSymbol, band_factor: int = 4, rel_floor: float = 1e-8
 ) -> tuple[FourierSymbol, float]:
@@ -388,8 +423,7 @@ def invert_symbol(
     represented inside the retained band.
     """
     band = max(a.n_max, 1)
-    grid_size = 1 << max(int(math.ceil(math.log2(16 * band))), 6)
-    samples = symbol_eval(a, circle_grid(grid_size))
+    samples = symbol_eval(a, circle_grid(inverse_grid_size(a)))
     mods = np.abs(samples)
     if mods.min() <= rel_floor * mods.max():
         raise ParameterError(

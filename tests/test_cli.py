@@ -572,6 +572,13 @@ def test_batch_document_must_be_object_or_list(doc, tmp_path, capsys):
         ("SingularValueSweep", {"N": 64, "k_hi": True}, "k_hi:"),
         ("FourierTrace", {"a": "z^2", "b": "z^-2", "N": 16, "symmetric": "false"}, "symmetric:"),
         ("Measurability", {"N": "4**7", "gamma": True}, "gamma:"),
+        ("Measurability", {"N": "4**7", "gamma": 0}, "gamma: gamma must be an integer >= 2, got 0"),
+        ("Measurability", {"N": "4**7", "entries": [{"gamma": 1}]}, "gamma:"),
+        ("WeierstrassTrace", {"alpha": True}, "alpha:"),
+        ("SingularValueSweep", {"N": 64, "p": True}, "p:"),
+        ("KernelCheck", {"a": "z^1", "b": "z^-1", "N": 16, "r": False}, "r:"),
+        ("Measurability", {"N": "4**7", "policy": {"rel_gap": True}}, "rel_gap:"),
+        ("Measurability", {"N": "4**7", "policy": {"abs_floor": True}}, "abs_floor:"),
     ],
 )
 def test_rejected_params_name_the_parameter(kind, params, named, tmp_path, capsys):
@@ -582,6 +589,21 @@ def test_rejected_params_name_the_parameter(kind, params, named, tmp_path, capsy
     assert line.startswith(f"parameter error: {kind}: ") and named in line
     with pytest.raises(ParameterError):
         run_experiment(ExperimentConfig(kind, params))
+
+
+@pytest.mark.parametrize("max_tuples", [20, 63, 64])
+def test_winding_checks_the_inverse_grid_it_samples(max_tuples, tmp_path, capsys):
+    # invert_symbol samples at least 64 points, so band 1 needs max_tuples >= 64
+    doc = {"kind": "Winding", "params": {"a": "z^1", "N": 4}, "limits": {"max_tuples": max_tuples}}
+    doc["output"] = {"path": str(tmp_path / "w.json")}
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(doc))
+    if max_tuples < 64:
+        assert main(["run", "--config", str(path)]) == 3
+        line = _stderr_line(capsys)
+        assert line == f"resource limit: inverse grid of 64 points exceeds {max_tuples}"
+    else:
+        assert main(["run", "--config", str(path)]) == 0
 
 
 @pytest.mark.parametrize(
@@ -698,7 +720,8 @@ def broken_configs(draw):
     entry = {"kind": kind, "params": params}
     names = [p.name for p in table]
     required = [p.name for p in table if p.default is cli._REQUIRED]
-    numeric = [p.name for p in table if p.parse in (int, float, cli.parse_int_expr, cli.parse_size)]
+    numbers = (int, float, cli.parse_int_expr, cli.parse_size, cli.parse_float, cli.parse_gamma)
+    numeric = [p.name for p in table if p.parse in numbers]
     sizes = [p.name for p in table if p.parse is cli.parse_size]
     nested = [(p.name, BAD_NESTED[p.name]) for p in table if p.name in BAD_NESTED]
     how = draw(

@@ -6,6 +6,7 @@ from numpy.polynomial import polynomial as npoly
 import numpy as np
 import pytest
 
+from circletrace import closed_forms as cf
 from circletrace.closed_forms import (
     KernelParams,
     _horner,
@@ -59,6 +60,15 @@ def double_sum(a, b, n_trunc):
 def same_bits(x, y):
     x, y = np.asarray(x), np.asarray(y)
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def comb_polyval_kernel(t, n, m):
+    """sphere_kernel by math.comb per coefficient and polyval(tensor=True)."""
+    ms = np.atleast_1d(m).tolist()
+    binomials = [[math.comb(k + mi - 1, mi - 1) for mi in ms] for k in range(n + 1)]
+    values = npoly.polyval(1.0 - np.asarray(t), np.array(binomials, dtype=float), tensor=True)
+    values /= np.reshape(np.array(ms, dtype=float), (-1,) + (1,) * np.ndim(t))
+    return values if np.ndim(m) else values[0]
 
 
 def dense_integral_trace(a, b, params):
@@ -341,14 +351,18 @@ class TestSphereKernel:
             reference = npoly.polyval(1.0 - t, coeffs) / (m * math.factorial(m - 1))
             assert np.array_equal(sphere_kernel_derivative(t, 40, m), reference)
 
-    def test_horner_equals_polyval_tensor(self):
+    def test_horner_equals_polyval_tensor(self, monkeypatch):
         rng = np.random.default_rng(3)
-        tables = [rng.standard_normal((rows, cols)) for rows, cols in ((1, 3), (9, 1), (40, 5))]
+        shapes = ((1, 3), (1, 1), (9, 1), (40, 5), (700, 2))
+        tables = [rng.standard_normal(shape) for shape in shapes]
         points = [0.375, np.float64(-1.5), rng.uniform(-1, 1, 7), rng.uniform(-1, 1, (3, 4))]
-        points.append(rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6))
-        for table in tables:
-            for u in points:
-                assert same_bits(_horner(u, table), npoly.polyval(u, table, tensor=True))
+        points += [rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6), np.array([0.5]), np.empty(0)]
+        # the default blocks, then blocks of one to three rows with a short last block
+        for block_bytes in (cf._HORNER_BLOCK_BYTES, 24):
+            monkeypatch.setattr(cf, "_HORNER_BLOCK_BYTES", block_bytes)
+            for table in tables:
+                for u in points:
+                    assert same_bits(_horner(u, table), npoly.polyval(u, table, tensor=True))
 
     def test_routes_equal_the_separate_routes_and_polyval(self):
         t = np.linspace(0.0, 1.0, 33)[1:]
@@ -357,21 +371,37 @@ class TestSphereKernel:
                 binomial, derivative = sphere_kernel_routes(t, n, m)
                 assert same_bits(binomial, sphere_kernel(t, n, m))
                 assert same_bits(derivative, sphere_kernel_derivative(t, n, m))
-                ms = np.atleast_1d(m).tolist()
-                binomials = [[math.comb(k + mi - 1, mi - 1) for mi in ms] for k in range(n + 1)]
-                reference = npoly.polyval(1.0 - t, np.array(binomials, dtype=float), tensor=True)
-                reference /= np.array(ms, dtype=float)[:, None]
-                assert same_bits(binomial, reference if np.ndim(m) else reference[0])
+                assert same_bits(binomial, comb_polyval_kernel(t, n, m))
         for m in (2, [1, 4]):
             binomial, derivative = sphere_kernel_routes(0.25, 8, m)
             assert same_bits(binomial, sphere_kernel(0.25, 8, m))
             assert same_bits(derivative, sphere_kernel_derivative(0.25, 8, m))
 
+    @pytest.mark.parametrize("n", [0, 1, 8, 300, 2**14])
+    def test_routes_match_the_comb_polyval_oracle(self, n):
+        rng = np.random.default_rng(n)
+        for t in (0.375, np.linspace(0.0, 1.0, 65)[1:], rng.uniform(0.0, 1.0, (3, 5))):
+            for m in (range(1, 9), [2, 5], [7]):
+                binomial, _ = sphere_kernel_routes(t, n, m)
+                assert same_bits(binomial, comb_polyval_kernel(t, n, m))
+
+    def test_routes_peak_memory(self):
+        t = np.linspace(0.0, 1.0, 65)[1:]
+        sphere_kernel_routes(t, 8, range(1, 9))
+        tracemalloc.start()
+        try:
+            sphere_kernel_routes(t, 2**14, range(1, 9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (N+1) x 16 table is 2.0 MiB; before the lane-flat pass the peak was 2.38 MiB
+        assert peak <= (2.38 + 0.5) * 2**20
+
     def test_routes_refuse_the_derivative_overflow_before_any_binomial(self, monkeypatch):
-        def comb(*args):
+        def fill_binomials(*args):
             raise AssertionError("a binomial was formed")
 
-        monkeypatch.setattr(math, "comb", comb)
+        monkeypatch.setattr(cf, "_fill_binomials", fill_binomials)
         t = np.linspace(0.0, 1.0, 5)[1:]
         with pytest.raises(ParameterError, match=r"\(N\+m-1\)!/N! overflow float64"):
             sphere_kernel_routes(t, 2000, [1, 95])
@@ -425,6 +455,14 @@ class TestWinding:
             tracemalloc.stop()
         assert rep.value == -3.0 and rep.safe_band == 10**6 - 6
         assert peak < 1 << 20
+
+    def test_inverse_grid_size_is_the_grid_sampled(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(cf, "circle_grid", lambda size: sizes.append(size) or circle_grid(size))
+        for band, grid in ((1, 64), (4, 64), (5, 128), (300, 8192), (1024, 16384)):
+            a = constant_symbol(3.0) + mode_symbol(band)
+            invert_symbol(a)
+            assert sizes[-1] == cf.inverse_grid_size(a) == grid
 
     def test_inverse_symbol_quality(self):
         grid = circle_grid(256)
