@@ -19,13 +19,11 @@ from .fourier import (
     WeierstrassParams,
     circle_grid,
     constant_symbol,
-    cosine_symbol,
     hardy_split,
     mode_symbol,
     sample_to_symbol,
     symbol_eval,
     symbol_from_json_obj,
-    symbol_to_json_obj,
     weierstrass_symbol,
 )
 from .littlewood_paley import INF, besov_norm, hat_weights, holder_norm_star
@@ -39,16 +37,13 @@ from .operators import (
     hankel_matrix,
     hardy_basis,
     hardy_compress,
-    multiplication_matrix,
     operator_product,
     operator_to_json_obj,
     szego_projection,
-    szego_reflection,
 )
 from .spectral import (
     SingularSpectrum,
     decay_slope,
-    hermitian_eigenvalues,
     lacunary_hankel_spectrum,
     singular_values,
     weak_quasinorm,
@@ -61,7 +56,6 @@ from .dixmier import (
     cesaro_mean,
     classify_limit,
     log_extrapolate,
-    log_mean_transform,
     residue_sequence,
 )
 from .closed_forms import (
@@ -74,7 +68,6 @@ from .closed_forms import (
     sphere_kernel,
     sphere_kernel_derivative,
     symmetric_fourier_trace,
-    szego_square_kernel,
     weierstrass_trace,
     winding_report,
     winding_trace,

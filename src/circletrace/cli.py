@@ -493,7 +493,7 @@ _B = replace(_A, name="b")
 
 @_kind(
     "KernelCheck", "kernel-check", "integral kernel quadrature vs double sum",
-    _A, _B, Param("N", parse_size, 64), Param("r", parse_float, 1.0 - 1e-6),
+    _A, _B, Param("N", parse_size, 64), Param("r", parse_float, cf.KernelParams.r),
     Param("grid", parse_size, lambda v: 8 * v["N"], help="default: 8*N"),
 )
 def _run_kernel_check(limits: Limits, *, a, b, N, r, grid) -> Report:
@@ -501,7 +501,7 @@ def _run_kernel_check(limits: Limits, *, a, b, N, r, grid) -> Report:
         raise ResourceLimitError(f"quadrature grid of {grid} points exceeds {limits.max_tuples}")
     value = cf.integral_trace(a, b, cf.KernelParams(n_trunc=N, r=r, grid=grid))
     oracle = -_double_sum(a, b, N) / math.log(N)
-    refined = cf.integral_trace(a, b, cf.KernelParams(N, 1.0 - (1.0 - r) / 10.0, grid))
+    refined = cf.integral_trace(a, b, cf.KernelParams(N, grid, 1.0 - (1.0 - r) / 10.0))
     report = Report(kind="KernelCheck")
     report.inputs = {"N": N, "r": r, "grid": grid}
     report.add_scalar("tr(P[P,a][P,b]) via kernel quadrature", value, "1/log(N)")

@@ -1,4 +1,4 @@
-"""Ordered diagonal partial sums, averaging transforms and the limit classifier.
+"""Ordered diagonal partial sums, Cesaro means and the limit classifier.
 
 The residue sequence of a truncated operator G is
 
@@ -33,7 +33,6 @@ __all__ = [
     "ClassifyPolicy",
     "residue_sequence",
     "cesaro_mean",
-    "log_mean_transform",
     "classify_limit",
     "log_extrapolate",
 ]
@@ -49,18 +48,10 @@ class ResidueSequence:
 
     partial_sums: np.ndarray
     values: np.ndarray
-    basis_rule: OrderingRule
 
     @property
     def size(self) -> int:
         return self.values.size
-
-    def values_log_n(self) -> np.ndarray:
-        """Same partial sums divided by log(N), defined from N = 2 on."""
-        n = np.arange(self.size, dtype=float)
-        out = np.full(self.size, np.nan, dtype=self.values.dtype)
-        out[2:] = self.partial_sums[2:] / np.log(n[2:])
-        return out
 
 
 def residue_sequence(op: TruncatedOperator) -> ResidueSequence:
@@ -76,7 +67,7 @@ def residue_sequence(op: TruncatedOperator) -> ResidueSequence:
         )
     sums = np.cumsum(op.diagonal())
     norm = np.log(np.arange(sums.size) + 2.0)
-    return ResidueSequence(sums, sums / norm, op.row_basis.ordering_rule)
+    return ResidueSequence(sums, sums / norm)
 
 
 # Terms per division step of cesaro_mean: its counts 1..N+1 are made one
@@ -95,15 +86,6 @@ def cesaro_mean(x) -> np.ndarray:
         hi = min(lo + _COUNT_BLOCK, out.size)
         out[lo:hi] /= np.arange(lo + 1, hi + 1, dtype=float)
     return out
-
-
-def log_mean_transform(x) -> np.ndarray:
-    """Logarithmic averages (sum_{l<=k} x_l/(l+1)) / log(k+2)."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise ParameterError("log_mean_transform expects a 1-d sequence")
-    weighted = np.cumsum(arr / np.arange(1, arr.size + 1))
-    return weighted / np.log(np.arange(arr.size) + 2.0)
 
 
 class VerdictKind(Enum):

@@ -25,14 +25,12 @@ __all__ = [
     "WeierstrassParams",
     "constant_symbol",
     "mode_symbol",
-    "cosine_symbol",
     "weierstrass_symbol",
     "gamma_powers",
     "circle_grid",
     "sample_to_symbol",
     "hardy_split",
     "symbol_eval",
-    "symbol_to_json_obj",
     "symbol_from_json_obj",
 ]
 
@@ -72,10 +70,6 @@ class FourierSymbol:
         """Largest |k| carrying a nonzero coefficient (0 for the zero symbol)."""
         return max((abs(k) for k in self.coeffs), default=0)
 
-    @property
-    def modes(self) -> list[int]:
-        return sorted(self.coeffs)
-
     def __getitem__(self, k: int) -> complex:
         return self.coeffs.get(k, 0j)
 
@@ -90,9 +84,6 @@ class FourierSymbol:
         for k, v in other.coeffs.items():
             out[k] = out.get(k, 0j) + v
         return FourierSymbol(out)
-
-    def __rmul__(self, scalar: complex) -> "FourierSymbol":
-        return FourierSymbol({k: scalar * v for k, v in self.coeffs.items()})
 
     def pruned(self, tol: float) -> "FourierSymbol":
         """Drop coefficients with modulus <= tol."""
@@ -112,14 +103,6 @@ def constant_symbol(value: complex) -> FourierSymbol:
 
 def mode_symbol(k: int, amplitude: complex = 1.0) -> FourierSymbol:
     return FourierSymbol({int(k): amplitude})
-
-
-def cosine_symbol(k: int, amplitude: float = 1.0) -> FourierSymbol:
-    """cos(k*theta) scaled by amplitude, i.e. amplitude/2 at modes +-k."""
-    if k == 0:
-        return constant_symbol(amplitude)
-    half = amplitude / 2.0
-    return FourierSymbol({int(k): half, -int(k): half}, real_valued=True)
 
 
 _EXTENSIONS = ("constant", "periodic", "block-indicator", "sqrt-log-cos")
@@ -285,11 +268,6 @@ def hardy_split(a: FourierSymbol) -> tuple[FourierSymbol, FourierSymbol]:
     plus = {k: v for k, v in a.coeffs.items() if k >= 0}
     minus = {k: v for k, v in a.coeffs.items() if k < 0}
     return FourierSymbol(plus), FourierSymbol(minus)
-
-
-def symbol_to_json_obj(a: FourierSymbol) -> dict:
-    """Interchange form {"modes": [[k, re, im], ...]} sorted by mode."""
-    return {"modes": [[k, a.coeffs[k].real, a.coeffs[k].imag] for k in sorted(a.coeffs)]}
 
 
 def symbol_from_json_obj(obj: Mapping) -> FourierSymbol:

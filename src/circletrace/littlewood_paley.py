@@ -95,25 +95,14 @@ def _norm_levels(
                 yield absn, modes[on][kept], coeffs[kept]
 
 
-def _grid_size(a: FourierSymbol, requested: int | None) -> int:
-    if requested is not None and requested < 4 * a.n_max:
-        raise ParameterError(f"grid of {requested} angles is too coarse for band {a.n_max}")
-    size = max(8 * max(a.n_max, 1), 16) if requested is None else requested
-    if size * size >= 2**63:
-        raise ParameterError(f"grid of {size} angles is too fine: k*j mod {size} needs int64")
-    return size
-
-
-def holder_norm_star(
-    a: FourierSymbol, alpha: float, gamma: int, sup_angles: int | None = None
-) -> float:
+def holder_norm_star(a: FourierSymbol, alpha: float, gamma: int) -> float:
     """Grid estimate of sup_n gamma^(|n|*alpha) * max |block_n * a|.
 
     That is the (alpha, INF, INF) Besov norm.  The supremum per level is
-    taken over a dense uniform grid (default 8 * n_max angles); band-limited
-    inputs make that an honest estimator.
+    taken over the dense uniform grid of ``besov_norm``; band-limited inputs
+    make that an honest estimator.
     """
-    return besov_norm(a, alpha, INF, INF, gamma, sup_angles)
+    return besov_norm(a, alpha, INF, INF, gamma)
 
 
 def _lp_norm(values: np.ndarray, p) -> float:
@@ -124,20 +113,18 @@ def _lp_norm(values: np.ndarray, p) -> float:
     return float(np.mean(values ** p) ** (1.0 / p))
 
 
-def besov_norm(
-    a: FourierSymbol,
-    t: float,
-    p,
-    q,
-    gamma: int,
-    grid_angles: int | None = None,
-) -> float:
-    """Nested norm: l^q over levels of gamma^(|n|*t) * L^p of each block piece."""
+def besov_norm(a: FourierSymbol, t: float, p, q, gamma: int) -> float:
+    """Nested norm: l^q over levels of gamma^(|n|*t) * L^p of each block piece.
+
+    The L^p norms are taken on a uniform grid of max(8 * n_max, 16) angles.
+    """
     if gamma < 2:
         raise ParameterError(f"gamma must be >= 2, got {gamma}")
     p = _normalize_exponent(p)
     q = _normalize_exponent(q)
-    size = _grid_size(a, grid_angles)
+    size = max(8 * max(a.n_max, 1), 16)
+    if size * size >= 2**63:
+        raise ParameterError(f"grid of {size} angles is too fine: k*j mod {size} needs int64")
     # A piece's values at the angles 2*pi*j/size are gathered from one table
     # of roots of unity at the exactly reduced indices (k mod size) * j mod
     # size: no phase k * theta is rounded and no exponential is taken per mode.

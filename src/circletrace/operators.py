@@ -1,17 +1,16 @@
 """Truncated matrices over explicit Fourier bases.
 
-Builds the Hardy projection, the sign reflection 2P-1, multiplication
-operators, Hankel blocks and commutators [P, a], and products thereof.
-Operators are tagged with basis index maps so products can refuse
-mismatched bases instead of silently misaligning modes, and each carries its
-support: the block on the rows and columns that can be nonzero (the whole
-matrix for Hankel blocks, multiplication operators, the reflection and
-matrices callers pass in; the modes a symbol reaches for a commutator; the
-nonnegative modes for the projection).  Products and compressions work on
-these blocks, and the dense ``matrix`` is built only when asked for.  A block
-keeps the dtype its entries have: float64 for a real input (a Hankel block of
-real coefficients, the Szegő projection and reflection), complex128
-otherwise.
+Builds the Hardy projection, Hankel blocks and commutators [P, a], and
+products thereof.  Operators are tagged with basis index maps so products
+can refuse mismatched bases instead of silently misaligning modes, and each
+carries its support: the block on the rows and columns that can be nonzero
+(the whole matrix for Hankel blocks and matrices callers pass in; the modes
+a symbol reaches for a commutator; the nonnegative modes for the
+projection).
+Products and compressions work on these blocks, and the dense ``matrix`` is
+built only when asked for.  A block keeps the dtype its entries have:
+float64 for a real input (a Hankel block of real coefficients, the Szegő
+projection), complex128 otherwise.
 
 Truncation note: for a trig-polynomial symbol of degree d, entries of a
 product of two truncated commutators are exact on rows/columns whose mode
@@ -40,9 +39,7 @@ __all__ = [
     "hankel_matrix",
     "commutator_matrix",
     "dense_commutator",
-    "multiplication_matrix",
     "szego_projection",
-    "szego_reflection",
     "operator_product",
     "compress",
     "hardy_compress",
@@ -169,11 +166,6 @@ class TruncatedOperator:
         out[on] = self.block[row_at, col_at]
         return out
 
-    def trace(self) -> complex:
-        if self.row_basis != self.col_basis:
-            raise BasisMismatchError("trace needs identical row and column bases")
-        return complex(self.diagonal().sum())
-
 
 def _built(
     block: np.ndarray,
@@ -284,18 +276,6 @@ def dense_commutator(a: FourierSymbol, n: int) -> TruncatedOperator:
     return _built(_commutator_entries(vec, labels, labels), basis, basis)
 
 
-def multiplication_matrix(a: FourierSymbol, basis: BasisIndexMap) -> TruncatedOperator:
-    """Multiplication by ``a`` compressed to the given basis: [m, l] = a_{m-l}."""
-    if basis.size == 0:
-        raise ParameterError("multiplication needs a nonempty basis")
-    labels = basis.labels
-    lo = int(labels.min())
-    span = int(labels.max()) - lo
-    idx = labels - lo
-    mat = _toeplitz(_coeff_lookup(a, -span, span))[np.ix_(idx, idx)]
-    return _built(mat, basis, basis)
-
-
 def szego_projection(n: int) -> TruncatedOperator:
     """P on modes -n..n: 1 on the diagonal at modes >= 0, 0 elsewhere.
 
@@ -308,15 +288,6 @@ def szego_projection(n: int) -> TruncatedOperator:
     unit.setflags(write=False)
     support = np.flatnonzero(basis.labels >= 0)
     return _built(_toeplitz(unit), basis, basis, support, support)
-
-
-def szego_reflection(n: int) -> TruncatedOperator:
-    """2P - 1 on modes -n..n: diagonal +1 on modes >= 0, -1 below."""
-    if n < 1:
-        raise ParameterError("truncation size must be >= 1")
-    basis = full_basis(n)
-    diag = np.diag(np.where(basis.labels >= 0, 1.0, -1.0))
-    return _built(diag, basis, basis)
 
 
 def _gather(block: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Singular values, Hermitian spectra, weak-Schatten quasinorms, decay fits."""
+"""Singular values, weak-Schatten quasinorms, decay fits."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ __all__ = [
     "weak_quasinorm",
     "decay_slope",
     "check_fit_window",
-    "hermitian_eigenvalues",
 ]
 
 
@@ -128,15 +127,12 @@ def check_fit_window(k_lo: int, k_hi: int, length: int) -> None:
         raise ParameterError(f"window [{k_lo}, {k_hi}) holds one index; a slope needs two")
 
 
-def decay_slope(
-    spectrum: SingularSpectrum, k_lo: int, k_hi: int, samples: int = 64
-) -> float:
+def decay_slope(spectrum: SingularSpectrum, k_lo: int, k_hi: int) -> float:
     """Least-squares slope of log mu_k against log k for k in [k_lo, k_hi).
 
-    The fit points are log-uniformly subsampled (up to ``samples`` indices)
-    so that the plateaus of lacunary spectra enter with equal weight per
-    octave instead of per index; ``samples=0`` fits every index densely.
-    Exact power laws give the same slope either way.
+    The fit points are log-uniformly subsampled (up to 64 indices) so that
+    the plateaus of lacunary spectra enter with equal weight per octave
+    instead of per index; exact power laws give the slope of a dense fit.
     """
     check_fit_window(k_lo, k_hi, len(spectrum))
     window = spectrum.mu[k_lo:k_hi]
@@ -146,41 +142,10 @@ def decay_slope(
             f"zero singular values inside the fit window [{k_lo}, {k_hi}): the spectrum "
             f"has numerical rank {rank} (count of mu_k > 0), so k_hi must be at most {rank}"
         )
-    if samples:
-        ks = np.unique(
-            np.round(
-                np.exp(np.linspace(np.log(k_lo), np.log(k_hi - 1), samples))
-            ).astype(int)
-        )
-        ks = ks[(ks >= k_lo) & (ks < k_hi)]
-    else:
-        ks = np.arange(k_lo, k_hi)
+    ks = np.unique(
+        np.round(np.exp(np.linspace(np.log(k_lo), np.log(k_hi - 1), 64))).astype(int)
+    )
+    ks = ks[(ks >= k_lo) & (ks < k_hi)]
     slope, _ = np.polyfit(np.log(ks.astype(float)), np.log(spectrum.mu[ks]), 1)
     return float(slope)
 
-
-def hermitian_eigenvalues(
-    op: TruncatedOperator, use_hermitian_part: bool = False, tol: float = 1e-10
-) -> np.ndarray:
-    """Real eigenvalues sorted by decreasing modulus, positive first on ties.
-
-    The input must be Hermitian to within ``tol`` entrywise unless
-    ``use_hermitian_part`` asks for the eigenvalues of (G + G^H)/2.
-    """
-    if op.row_basis != op.col_basis:
-        raise ParameterError("eigenvalues need identical row and column bases")
-    mat = op.matrix
-    defect = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
-    if use_hermitian_part:
-        mat = (mat + mat.conj().T) / 2.0
-    elif defect > tol:
-        raise ParameterError(
-            f"matrix is not Hermitian (defect {defect:.3e}); "
-            "pass use_hermitian_part=True for the symmetrized spectrum"
-        )
-    try:
-        eigs = np.linalg.eigvalsh(mat)
-    except np.linalg.LinAlgError as exc:
-        raise SpectralError(f"eigenvalue decomposition failed: {exc}") from exc
-    order = np.lexsort((-eigs, -np.abs(eigs)))
-    return eigs[order]

@@ -1,5 +1,7 @@
 import contextlib
 import copy
+import hashlib
+import inspect
 import io
 import json
 import math
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circletrace
 from circletrace import cli
 from circletrace.cli import (
     ExperimentConfig,
@@ -786,3 +789,140 @@ def test_malformed_batch_configs_exit_2(entry):
     assert code == 2
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("parameter error: ")
+
+
+# The README CLI examples, plus one fourier-trace long enough for the
+# numpy-built '%.17g' rows; each writes the file named first.
+README_EXAMPLES = [
+    ("wt.json", ["weierstrass-trace", "--gamma", "2", "--N", "2**40"]),
+    ("mb.json", ["measurability", "--rule", "block-indicator:2", "--N", "4**10"]),
+    ("ms.json", ["measurability", "--rule", "sqrt-log-cos", "--N", "4**10"]),
+    ("ss.csv", ["singular-sweep", "--alpha", "0.5", "--gamma", "2", "--N", "1024",
+                "--format", "csv"]),
+    ("kc.json", ["kernel-check", "--a", '{"modes": [[1, 1.0, 0.0]]}',
+                 "--b", '{"modes": [[-1, 1.0, 0.0]]}', "--N", "64", "--r", "0.999999",
+                 "--grid", "1024"]),
+    ("wd.json", ["winding", "--a", "z^3", "--N", "64", "--dump-operator", "op.json"]),
+    ("hn.json", ["hn", "--m-max", "4", "--N", "64"]),
+    ("nc.json", ["nctorus", "--config", "torus.json"]),
+    ("ft.json", ["fourier-trace", "--a", "lacunary.json", "--b", "lacunary.json",
+                 "--N", "1024", "--symmetric"]),
+]
+
+# SHA-256 of each body, and whether it is host-bound: its numbers pass
+# through FFT, LAPACK or BLAS, whose last digits may differ on another numpy
+# or BLAS build with no change to the program.  An intended change of a body
+# updates its digest here and lists every changed digit in CHANGES.md.
+README_DIGESTS = {
+    "wt.json": (True, "5dd8a6f57049818b40f0aa8969c34e0dae5a264ec00afdd080f7eb59a7328475"),  # lstsq
+    "mb.json": (False, "fe0ea33e366caa2d5c1b6a1a1f1e03153975c74154ed45ed76f1a29a1ee10bee"),
+    "ms.json": (False, "ab644818b623a6b6cba423714d8e8cc4bd0dc40356fb0ccc2a1c9326480753ef"),
+    "ss.csv": (True, "f3923d0971101e561b26907bd55a6bc7db55822fbb329fd3236ba5c84f2b02ea"),  # polyfit
+    "kc.json": (True, "177583dfc075735d05ac036413acee333270fc369c090ede925780e2f605ddbb"),  # FFT
+    "wd.json": (True, "0331e728116f42edf28476420da952e5a808fe14aa06ceb80637b5c06d0e265c"),  # FFT
+    "op.json": (False, "a0c084a537b84be13b8f8d53953765166399294e1fb1a886394ae6605e0494b2"),
+    "hn.json": (False, "08edec2be219ee24995f008e56fa7456e5946cb196ad8f98d53d0d999b6f2dfc"),
+    "nc.json": (True, "71e9422d3b1a409aa6d8dec631e4222baf80b620e040b106da4768a5cafed30c"),  # matmul
+    "ft.json": (False, "1644bcf3c9ed752eed0af6ffa17ff7c4db6e809684f6d86d031498cc056802fc"),
+}
+
+
+def test_readme_example_bodies_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    torus = {
+        "n": 2, "N": 256, "T": "grading-dirac", "theta": {"random": 7, "scale": 1.0},
+        "symbols": [{"pair": [1, 0]}, {"pair": [0, 1]}, {"pair": [1, 1]}],
+    }
+    Path("torus.json").write_text(json.dumps(torus))
+    lacunary = {"weierstrass": {"alpha": 0.5, "gamma": 2, "c": "constant:1", "cutoff": 1024}}
+    Path("lacunary.json").write_text(json.dumps(lacunary))
+    for out, argv in README_EXAMPLES:
+        assert main([*argv, "--out", out]) == 0
+    changed = [
+        f"{name}{' (host-bound)' if host_bound else ''}"
+        for name, (host_bound, digest) in README_DIGESTS.items()
+        if hashlib.sha256(Path(name).read_bytes()).hexdigest() != digest
+    ]
+    assert not changed, f"report bodies changed: {', '.join(changed)}"
+
+
+# Every name the package exports, with what needs it: a CLI kind, an
+# acceptance criterion, a benchmark call, or the exported function built on
+# it.  A new export states its reason here.
+PUBLIC_SURFACE = {
+    "AntisymmetricForm": "NcTorus theta; criterion 10",
+    "BasisIndexMap": "the bases of every operator",
+    "BasisMismatchError": "raised by operator_product, compress and residue_sequence",
+    "ClassifyPolicy": "Measurability policy",
+    "CliffordRep": "NcTorus representation",
+    "CoefficientRule": "WeierstrassTrace, Measurability, SingularValueSweep; benchmark",
+    "FourierSymbol": "every symbol parameter; criteria 1, 2, 6 and 7",
+    "INF": "the exponent infinity of besov_norm",
+    "KernelParams": "KernelCheck; criterion 7",
+    "LatticeSymbol": "NcTorus symbols; criterion 10",
+    "MeasurabilityVerdict": "returned by classify_limit",
+    "ModeTuple": "criterion 9",
+    "OrderingRule": "the rule of a BasisIndexMap, checked by residue_sequence",
+    "ParameterError": "exit 2 of every CLI kind",
+    "ResidueSequence": "returned by residue_sequence",
+    "ResourceLimitError": "exit 3 of every CLI kind",
+    "SingularSpectrum": "returned by singular_values and lacunary_hankel_spectrum",
+    "SpectralError": "raised by singular_values",
+    "TraceSequence": "returned by the closed-form traces and torus_trace_partial",
+    "TruncatedOperator": "every operator; benchmark wraps its __post_init__",
+    "VerdictKind": "criterion 4",
+    "WeierstrassParams": "SingularValueSweep; benchmark",
+    "WindingReport": "returned by winding_report",
+    "besov_norm": "benchmark call besov-norm",
+    "cesaro_mean": "Measurability; criterion 4",
+    "circle_grid": "built on by integral_trace and invert_symbol",
+    "classify_limit": "Measurability; criterion 4; benchmark",
+    "clifford_rep": "NcTorus; criteria 9 and 10",
+    "commutator_matrix": "criteria 1 and 2; benchmark",
+    "compress": "built on by hardy_compress",
+    "constant_symbol": "criterion 8",
+    "decay_slope": "SingularValueSweep; criterion 5",
+    "dirac_phase": "criterion 9",
+    "fourier_side_trace": "FourierTrace; criterion 2",
+    "full_basis": "built on by commutator_matrix and szego_projection",
+    "graded_trace_2d": "criterion 9",
+    "hankel_matrix": "SingularValueSweep; criteria 5 and 6; benchmark",
+    "hardy_basis": "built on by hardy_compress",
+    "hardy_compress": "criteria 1 and 2; benchmark",
+    "hardy_split": "built on by integral_trace",
+    "hat_weights": "built on by besov_norm",
+    "holder_norm_star": "benchmark call holder-norm-star",
+    "integral_trace": "KernelCheck; criterion 7; benchmark",
+    "invert_symbol": "built on by winding_report",
+    "lacunary_hankel_spectrum": "SingularValueSweep",
+    "log_extrapolate": "WeierstrassTrace; criterion 3",
+    "mode_symbol": "the z^k symbol shorthand; criterion 8",
+    "operator_product": "criteria 1 and 2; benchmark",
+    "operator_to_json_obj": "Winding --dump-operator",
+    "phase_product_matrix": "criterion 9; benchmark",
+    "residue_sequence": "criterion 2; benchmark",
+    "sample_to_symbol": "built on by invert_symbol",
+    "singular_values": "SingularValueSweep; criteria 5 and 6; benchmark",
+    "sphere_kernel": "criterion 11; benchmark",
+    "sphere_kernel_derivative": "criterion 11",
+    "symbol_eval": "built on by integral_trace and invert_symbol; benchmark",
+    "symbol_from_json_obj": "every symbol parameter; benchmark",
+    "symmetric_fourier_trace": "FourierTrace --symmetric",
+    "szego_projection": "criteria 1 and 2; benchmark",
+    "torus_trace_partial": "NcTorus; criterion 10",
+    "twist_phase": "built on by torus_trace_partial",
+    "weak_quasinorm": "SingularValueSweep; criterion 5",
+    "weierstrass_symbol": "SingularValueSweep; criterion 5; benchmark",
+    "weierstrass_trace": "WeierstrassTrace; criterion 3",
+    "winding_report": "Winding",
+    "winding_trace": "criterion 8",
+}
+
+
+def test_public_surface_is_what_something_needs():
+    exported = {
+        name
+        for name, value in vars(circletrace).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert exported == set(PUBLIC_SURFACE)

@@ -18,7 +18,6 @@ from circletrace.closed_forms import (
     sphere_kernel_derivative,
     sphere_kernel_routes,
     symmetric_fourier_trace,
-    szego_square_kernel,
     weierstrass_trace,
     winding_report,
     winding_trace,
@@ -31,7 +30,6 @@ from circletrace.fourier import (
     WeierstrassParams,
     circle_grid,
     constant_symbol,
-    cosine_symbol,
     hardy_split,
     mode_symbol,
     sample_to_symbol,
@@ -39,6 +37,11 @@ from circletrace.fourier import (
     weierstrass_symbol,
 )
 from circletrace.operators import commutator_matrix
+
+
+def cosine(k):
+    """cos(k*theta): 1/2 at modes +-k."""
+    return FourierSymbol({k: 0.5, -k: 0.5}, real_valued=True)
 
 
 def random_symbol(rng, degree):
@@ -87,7 +90,7 @@ def dense_integral_trace(a, b, params):
 
 class TestFourierSideTrace:
     def test_single_cosine_level(self):
-        c4 = cosine_symbol(4)
+        c4 = cosine(4)
         seq = fourier_side_trace(c4, c4, 32)
         for m, v in zip(seq.points, seq.values):
             expected = 1.0 / math.log(m) if m >= 4 else 0.0
@@ -102,16 +105,18 @@ class TestFourierSideTrace:
         w = weierstrass_symbol(
             WeierstrassParams(0.5, 2, CoefficientRule.constant(1.0)), 2**12
         )
-        seq = fourier_side_trace(w, w, 2**12, points=[2**12])
-        assert seq.values[0].real == pytest.approx(13.0 / math.log(2**12), rel=1e-13)
+        seq = fourier_side_trace(w, w, 2**12)
+        assert seq.points[-1] == 2**12
+        assert seq.values[-1].real == pytest.approx(13.0 / math.log(2**12), rel=1e-13)
 
 
 class TestSymmetricTrace:
     def test_cosine_pair(self):
-        c4 = cosine_symbol(4)
-        seq = symmetric_fourier_trace(c4, c4, 32, points=[8, 16, 32])
+        c4 = cosine(4)
+        seq = symmetric_fourier_trace(c4, c4, 32)
         for m, v in zip(seq.points, seq.values):
-            assert v.real == pytest.approx(-2.0 / math.log(m), rel=1e-13)
+            expected = -2.0 / math.log(m) if m >= 4 else 0.0
+            assert v.real == pytest.approx(expected, rel=1e-13)
 
     def test_matches_loop_over_every_mode(self):
         # reference: the loop over k = 1..N that the support-driven sum replaces
@@ -179,28 +184,32 @@ class TestWeierstrassTrace:
         chi = CoefficientRule.block_indicator(2)
         # the level-count Cesaro mean oscillates between 2/3 and 1/3 along the
         # doubly exponential scales M = 2^(4^j - 1) and M = 2^(2*4^j - 1)
-        pts = [2**15, 2**31]
-        seq = weierstrass_trace(2, chi, chi, 2**31, points=pts)
-        low = -float(seq.values[0].real) * math.log(2**15) / 16
-        high = -float(seq.values[1].real) * math.log(2**31) / 32
+        seq = weierstrass_trace(2, chi, chi, 2**31)
+        at = np.searchsorted(seq.points, [2**15, 2**31])
+        assert seq.points[at].tolist() == [2**15, 2**31]
+        low = -float(seq.values[at[0]].real) * math.log(2**15) / 16
+        high = -float(seq.values[at[1]].real) * math.log(2**31) / 32
         assert low == pytest.approx(11.0 / 16.0, rel=1e-12)
         assert high == pytest.approx(11.0 / 32.0, rel=1e-12)
 
 
 class TestSzegoSquareKernel:
+    """The truncated square of the Szegő kernel, sum_{k<=N} (k+1) w^k at
+    w = z*zeta, as ``_ramp_polynomial`` sums it for ``integral_trace``: within
+    1e-8 relative of the explicit series on both sides of its switch."""
+
     def test_origin(self):
-        assert szego_square_kernel(0.0, 0.3, 16) == pytest.approx(1.0 / math.log(16))
+        assert _ramp_polynomial(np.zeros(1), 16)[0] == pytest.approx(1.0)
 
     def test_removable_point(self):
-        value = szego_square_kernel(1.0, 1.0, 16)
-        assert value == pytest.approx(17.0 * 18.0 / 2.0 / math.log(16))
+        assert _ramp_polynomial(np.ones(1), 16)[0] == pytest.approx(17.0 * 18.0 / 2.0)
 
     def test_antipodal_even(self):
         # sum_{k<=16} (k+1) (-1)^k = 9
-        assert szego_square_kernel(1.0, -1.0, 16) == pytest.approx(9.0 / math.log(16))
+        assert _ramp_polynomial(-np.ones(1), 16)[0] == pytest.approx(9.0)
 
     def test_near_points_match_the_ramp_horner_loop(self):
-        # the loop both kernels summed near w = 1 before they shared _horner
+        # the loop the kernel summed near w = 1 before it shared _horner
         def ramp_loop(w, n):
             acc = np.full(w.shape, n + 1.0, dtype=complex)
             for k in range(n - 1, -1, -1):
@@ -210,10 +219,7 @@ class TestSzegoSquareKernel:
         offsets = np.array([0.0, 1e-7, -3e-8j, 2e-7 + 5e-7j, -6e-7 - 1e-7j, 4e-10])
         for n in (2, 16, 255):
             w = 1.0 + offsets
-            assert same_bits(szego_square_kernel(w, 1.0, n), ramp_loop(w, n) / math.log(n))
-            assert same_bits(
-                szego_square_kernel(1.0, 1.0, n), complex(ramp_loop(w[:1], n)[0] / math.log(n))
-            )
+            assert same_bits(_ramp_polynomial(w, n), ramp_loop(w, n))
             near = (1.0 - 1e-5) * np.exp(1j * np.array([0.0, 1e-5, -3e-5]))
             assert same_bits(_ramp_polynomial(near, n, switch=1e-4), ramp_loop(near, n))
 
@@ -227,12 +233,13 @@ class TestSzegoSquareKernel:
             + [0.5 * turns, [-1.0]]
         )
         for n in (2, 16, 255, 4096):
-            series = [
-                complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-                for terms in ([(k + 1) * complex(x) ** k for k in range(n + 1)] for x in w)
-            ]
-            expected = np.array(series) / math.log(n)
-            got = szego_square_kernel(w, 1.0, n)
+            expected = np.array(
+                [
+                    complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+                    for terms in ([(k + 1) * complex(x) ** k for k in range(n + 1)] for x in w)
+                ]
+            )
+            got = _ramp_polynomial(w, n)
             assert np.all(np.abs(got - expected) <= 1e-8 * np.abs(expected))
 
 
@@ -363,6 +370,21 @@ class TestSphereKernel:
             for table in tables:
                 for u in points:
                     assert same_bits(_horner(u, table), npoly.polyval(u, table, tensor=True))
+
+    def test_horner_holds_one_coefficient_block(self):
+        # 16 columns at 64 points are 1024 lanes, so a block is 32 rows of
+        # 256 KiB; with the last block still referenced while the next one
+        # was formed the peak read 0.52 MiB
+        u = 1.0 - np.linspace(0.0, 1.0, 65)[1:]
+        table = np.ones((16385, 16))
+        _horner(u, table)
+        tracemalloc.start()
+        try:
+            _horner(u, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.3 * 2**20
 
     def test_routes_equal_the_separate_routes_and_polyval(self):
         t = np.linspace(0.0, 1.0, 33)[1:]

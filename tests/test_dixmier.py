@@ -1,4 +1,4 @@
-"""Residue sequences, averaging transforms and the limit classifier.
+"""Residue sequences, Cesaro means and the limit classifier.
 
 The non-measurable families used here are the characteristic function of the
 complement of the union of intervals [4^j, 2*4^j) and sqrt(2 + cos(log n));
@@ -18,7 +18,6 @@ from circletrace.dixmier import (
     cesaro_mean,
     classify_limit,
     log_extrapolate,
-    log_mean_transform,
     residue_sequence,
 )
 from circletrace.errors import ParameterError
@@ -53,14 +52,6 @@ def test_residue_of_reciprocal_diagonal_matches_harmonic_numbers():
 def test_residue_of_zero_operator():
     res = residue_sequence(hardy_diag(np.zeros(16)))
     assert not res.values.any()
-
-
-def test_residue_reports_both_normalizations():
-    res = residue_sequence(hardy_diag(np.ones(16)))
-    with_log_n = res.values_log_n()
-    assert np.all(np.isnan(with_log_n[:2]))
-    n = np.arange(2, 16, dtype=float)
-    assert np.allclose(with_log_n[2:], res.partial_sums[2:] / np.log(n), atol=1e-14)
 
 
 def test_residue_rejects_mismatched_bases():
@@ -160,28 +151,6 @@ def test_cesaro_block_indicator_subsequence_clusters():
     assert means[2 * 4**9 - 1] == pytest.approx(1.0 / 3.0, abs=1e-4)
 
 
-def test_log_mean_transform_of_ones_converges_to_one():
-    values = log_mean_transform(np.ones(2**20))
-    limit, coefficient = log_extrapolate(values)
-    assert limit == pytest.approx(1.0, abs=1e-2)
-    # the 1/log correction carries the Euler-Mascheroni constant
-    assert coefficient == pytest.approx(0.5772, abs=1e-2)
-    assert not log_mean_transform(np.zeros(64)).any()
-
-
-def test_log_mean_transform_keeps_signed_witness_oscillating():
-    # doubly lacunary signed sequence: the log means swing between two
-    # clusters because same-sign runs each contribute on the order of log M
-    n = 4**10
-    idx = np.arange(2, n + 1, dtype=float)
-    levels = np.floor(np.log2(idx + 1.0)).astype(int)
-    signs = (-2.0) ** np.floor(np.log2(levels))
-    y = np.zeros(n + 1)
-    y[2:] = signs * (idx + 1.0) / (idx * np.log(idx))
-    verdict = classify_limit(log_mean_transform(y)[2:])
-    assert verdict.kind is VerdictKind.OSCILLATING
-
-
 def test_classifier_convergent_with_decaying_perturbation():
     x = 1.0 + 1.0 / np.log(np.arange(2**20) + 2.0)
     verdict = classify_limit(x)
@@ -262,17 +231,3 @@ def test_log_extrapolate_exact_model_and_constant():
     assert slope == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(ParameterError):
         log_extrapolate(np.ones(8))
-
-
-def test_log_mean_regularity_on_convergent_inputs():
-    # a Cesaro-type transform must preserve limits; checked through the
-    # log-extrapolated value of the transformed sequence
-    n = 2**20
-    idx = np.arange(n, dtype=float)
-    for target, x in [
-        (2.0, 2.0 + 1.0 / np.sqrt(idx + 1.0)),
-        (-1.0, -1.0 + np.sin(idx) / (idx + 1.0)),
-    ]:
-        transformed = log_mean_transform(x)
-        limit, _ = log_extrapolate(transformed)
-        assert limit == pytest.approx(target, abs=1e-2)
