@@ -10,8 +10,10 @@ the JSON params (an unknown key, a missing required key or a value its
 parser rejects is a ParameterError naming the parameter), hands the runner
 typed values, and generates the kind's subcommand, whose ``--help`` lists
 each parameter with its default.  ``Limits`` and ``ClassifyPolicy`` are read
-field by field from their own dataclasses.  Exit codes: 0 success, 2 invalid
-parameters, 3 resource rejection.
+field by field from their own dataclasses.  Next to its table each kind
+declares its cost, the sizes a run would allocate, and ``_check_cost``
+refuses a run above ``Limits`` before the runner starts.  Exit codes: 0
+success, 2 invalid parameters, 3 resource rejection.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .nc_torus import (
     LatticeSymbol,
     clifford_rep,
     dirac_coefficients,
+    _iroot,
     grading_dirac_coefficients,
     identity_coefficients,
     torus_trace_partial,
@@ -330,6 +333,7 @@ class _Kind:
     command: str
     help: str
     params: _Table
+    cost: Callable[[dict], Any]  # typed params -> (quantity, amount, Limits field) entries
     run: Callable[..., Report]
     config_file: bool  # the subcommand reads the whole params object from --config
 
@@ -337,14 +341,24 @@ class _Kind:
 _KINDS: dict[str, _Kind] = {}
 
 
-def _kind(name: str, command: str, help: str, *params: Param, config_file: bool = False):
-    """Registers a runner, called with the limits and the typed params, as a kind."""
+def _kind(name: str, command: str, help: str, *params: Param, cost: Callable = lambda v: (),
+          config_file: bool = False):
+    """Registers a runner, called with the typed params, as a kind; ``cost`` maps the
+    params to the (quantity, amount, Limits field) entries checked before it runs."""
 
     def register(run):
-        _KINDS[name] = _Kind(command, help, _Table(name, *params), run, config_file)
+        _KINDS[name] = _Kind(command, help, _Table(name, *params), cost, run, config_file)
         return run
 
     return register
+
+
+def _check_cost(limits: Limits, cost) -> None:
+    """ResourceLimitError at the first entry whose amount exceeds its limit."""
+    for quantity, amount, name in cost:
+        limit = getattr(limits, name)
+        if amount > limit:
+            raise ResourceLimitError(f"{amount} {quantity} exceed {name} = {limit}")
 
 
 @_kind(
@@ -354,7 +368,7 @@ def _kind(name: str, command: str, help: str, *params: Param, config_file: bool 
           help="coefficient rule for d, default: the c rule"),
     Param("N", parse_size, "2**40"),
 )
-def _run_weierstrass_trace(limits: Limits, *, gamma, alpha, c, d, N) -> Report:
+def _run_weierstrass_trace(*, gamma, alpha, c, d, N) -> Report:
     if alpha != 0.5:
         raise ParameterError(
             "the lacunary trace closed form is exact only at alpha = 1/2; "
@@ -415,10 +429,9 @@ def _cesaro_of_product(c: CoefficientRule, d: CoefficientRule, size: int) -> np.
           help='JSON file with an entries list, or {"entries": [...]}'),
     *_ENTRY.params[:3],
     replace(_ENTRY.params[3], default="sequence"),
+    cost=lambda v: [("coefficients per rule", v["N"] + 1, "max_tuples")],
 )
-def _run_measurability(limits: Limits, *, N, policy, entries, label, gamma, c, d) -> Report:
-    if N + 1 > limits.max_tuples:
-        raise ResourceLimitError(f"{N + 1} coefficients per rule exceed {limits.max_tuples}")
+def _run_measurability(*, N, policy, entries, label, gamma, c, d) -> Report:
     if entries is None:
         entries = [{"gamma": gamma, "c": c, "d": d, "label": label}]
     report = Report(kind="Measurability")
@@ -440,6 +453,19 @@ def _run_measurability(limits: Limits, *, N, policy, entries, label, gamma, c, d
     return report
 
 
+def _sweep_symbol(alpha, gamma, c, N, **_) -> tuple[FourierSymbol, bool]:
+    """W(alpha, gamma, c) to 2N, and whether its spectrum is closed form: every
+    mode is a real power of gamma, so with none in (N, 2N) the block is H_P (+) 0."""
+    symbol = weierstrass_symbol(WeierstrassParams(alpha=alpha, gamma=gamma, c=c), 2 * N)
+    return symbol, symbol.restricted(2 * N - 1).n_max <= N
+
+
+def _sweep_cost(v: dict):
+    yield "singular values", v["N"], "max_tuples"
+    if not _sweep_symbol(**v)[1]:  # the symbol is built only once N has passed
+        yield "dense matrix rows", v["N"], "max_matrix"
+
+
 @_kind(
     "SingularValueSweep", "singular-sweep", "Hankel singular values of a lacunary symbol",
     _ALPHA, _GAMMA, _C, Param("N", parse_size, 1024),
@@ -447,23 +473,18 @@ def _run_measurability(limits: Limits, *, N, policy, entries, label, gamma, c, d
           help="quasinorm exponent, default: 1/alpha"),
     Param("k_lo", parse_int_expr, None, help="default: 16, or max(1, k_hi // 2) when k_hi < 18"),
     Param("k_hi", parse_int_expr, None, help="default: min(512, N/4, numerical rank)"),
+    cost=_sweep_cost,
 )
-def _run_singular_sweep(limits: Limits, *, alpha, gamma, c, N, p, k_lo, k_hi) -> Report:
-    if N > limits.max_tuples:
-        raise ResourceLimitError(f"{N} singular values exceed {limits.max_tuples}")
+def _run_singular_sweep(*, alpha, gamma, c, N, p, k_lo, k_hi) -> Report:
     # An explicit window is checked before the spectrum of N values: the default
     # k_hi is the rank capped at min(512, N/4), so a k_lo the cap refuses fails for every rank.
     cap = min(512, N // 4)
     if k_lo is not None or k_hi is not None:
         hi = cap if k_hi is None else k_hi
         check_fit_window(_default_k_lo(k_lo, hi), hi, N)
-    symbol = weierstrass_symbol(WeierstrassParams(alpha=alpha, gamma=gamma, c=c), 2 * N)
-    # Every mode is a real power of gamma, so with none in (N, 2N) the block is
-    # H_P (+) 0 and its spectrum is closed form; otherwise the dense route.
-    if symbol.restricted(2 * N - 1).n_max <= N:
+    symbol, closed = _sweep_symbol(alpha, gamma, c, N)
+    if closed:
         spectrum = lacunary_hankel_spectrum(symbol, gamma, N)
-    elif N > limits.max_matrix:
-        raise ResourceLimitError(f"matrix size {N} exceeds the cap {limits.max_matrix}")
     else:
         spectrum = singular_values(hankel_matrix(symbol, N))
     if k_hi is None:
@@ -495,10 +516,9 @@ _B = replace(_A, name="b")
     "KernelCheck", "kernel-check", "integral kernel quadrature vs double sum",
     _A, _B, Param("N", parse_size, 64), Param("r", parse_float, cf.KernelParams.r),
     Param("grid", parse_size, lambda v: 8 * v["N"], help="default: 8*N"),
+    cost=lambda v: [("quadrature grid points", v["grid"], "max_tuples")],
 )
-def _run_kernel_check(limits: Limits, *, a, b, N, r, grid) -> Report:
-    if grid > limits.max_tuples:
-        raise ResourceLimitError(f"quadrature grid of {grid} points exceeds {limits.max_tuples}")
+def _run_kernel_check(*, a, b, N, r, grid) -> Report:
     value = cf.integral_trace(a, b, cf.KernelParams(n_trunc=N, r=r, grid=grid))
     oracle = -_double_sum(a, b, N) / math.log(N)
     refined = cf.integral_trace(a, b, cf.KernelParams(N, grid, 1.0 - (1.0 - r) / 10.0))
@@ -519,13 +539,13 @@ def _double_sum(a: FourierSymbol, b: FourierSymbol, n_trunc: int) -> complex:
     return total
 
 
-@_kind("Winding", "winding", "winding number trace", _A, Param("N", parse_size, 64))
-def _run_winding(limits: Limits, *, a, N) -> Report:
+@_kind(
+    "Winding", "winding", "winding number trace", _A, Param("N", parse_size, 64),
+    cost=lambda v: [("inverse grid points", cf.inverse_grid_size(v["a"]), "max_tuples")],
+)
+def _run_winding(*, a, N) -> Report:
     if N >= 2**63:
         raise ParameterError(f"N = {N} is beyond the int64 range of the safe band")
-    grid = cf.inverse_grid_size(a)
-    if grid > limits.max_tuples:
-        raise ResourceLimitError(f"inverse grid of {grid} points exceeds {limits.max_tuples}")
     result = cf.winding_report(a, N)
     report = Report(kind="Winding")
     report.inputs = {"N": N, "band": a.n_max}
@@ -560,14 +580,19 @@ _T_MAPS = {
     Param("symbols", lambda objs, rep: [_lattice_symbol_from_obj(o, rep.n) for o in objs],
           uses=("n",),
           help='list of {"pair": v, "amplitude": z} or {"modes": [[v, re, im], ...]}'),
+    cost=lambda v: [
+        ("support tuples", math.prod(max(len(s.coeffs), 1) for s in v["symbols"]), "max_tuples"),
+        ("lattice-ball candidate points", (2 * _iroot(v["N"], v["n"].n) + 1) ** v["n"].n,
+         "max_tuples"),
+    ],
     config_file=True,
 )
-def _run_nctorus(limits: Limits, *, n: CliffordRep, N, T, theta, symbols) -> Report:
+def _run_nctorus(*, n: CliffordRep, N, T, theta, symbols) -> Report:
     if T not in _T_MAPS:
         raise ParameterError(f"unknown T coefficient map {T!r}")
     t_map = _T_MAPS[T](n)
-    seq = torus_trace_partial(n, t_map, symbols, N, theta, max_tuples=limits.max_tuples)
-    control = torus_trace_partial(n, t_map, symbols, N, None, max_tuples=limits.max_tuples)
+    seq = torus_trace_partial(n, t_map, symbols, N, theta)
+    control = torus_trace_partial(n, t_map, symbols, N, None)
     report = Report(kind="NcTorus")
     report.inputs = {"n": n.n, "N": N, "T": T, "k": len(symbols)}
     report.add_sequence("partial_sums", seq.expression, seq.normalization, seq.points, seq.values)
@@ -583,13 +608,11 @@ def _run_nctorus(limits: Limits, *, n: CliffordRep, N, T, theta, symbols) -> Rep
 @_kind(
     "HnCheck", "hn", "sphere kernel consistency sweep",
     Param("m_max", parse_size, 4), Param("N", parse_size, 64), Param("t_points", parse_size, 64),
+    cost=lambda v: [
+        ("kernel coefficients and values", (v["N"] + 1 + v["t_points"]) * v["m_max"], "max_tuples")
+    ],
 )
-def _run_hn_check(limits: Limits, *, m_max, N, t_points) -> Report:
-    if (N + 1 + t_points) * m_max > limits.max_tuples:
-        raise ResourceLimitError(
-            f"(N+1+t_points)*m_max = {(N + 1 + t_points) * m_max} kernel coefficients "
-            f"and values exceed {limits.max_tuples}"
-        )
+def _run_hn_check(*, m_max, N, t_points) -> Report:
     t_grid = np.linspace(0.0, 1.0, t_points + 1)[1:]
     report = Report(kind="HnCheck")
     report.inputs = {"m_max": m_max, "N": N, "t_points": t_points}
@@ -613,10 +636,9 @@ def _run_hn_check(limits: Limits, *, m_max, N, t_points) -> Report:
 @_kind(
     "FourierTrace", "fourier-trace", "Fourier-side trace partial sums",
     _A, _B, Param("N", parse_size, 256), Param("symmetric", parse_bool, False),
+    cost=lambda v: [("trace points", v["N"], "max_tuples")],
 )
-def _run_fourier_trace(limits: Limits, *, a, b, N, symmetric) -> Report:
-    if N > limits.max_tuples:
-        raise ResourceLimitError(f"{N} trace points exceed {limits.max_tuples}")
+def _run_fourier_trace(*, a, b, N, symmetric) -> Report:
     seq = (cf.symmetric_fourier_trace if symmetric else cf.fourier_side_trace)(a, b, N)
     report = Report(kind="FourierTrace")
     report.inputs = {"N": N, "symmetric": symmetric}
@@ -625,9 +647,11 @@ def _run_fourier_trace(limits: Limits, *, a, b, N, symmetric) -> Report:
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
-    """Validate parameters, dispatch on kind and return a deterministic report."""
+    """Validate parameters, check their cost, dispatch on kind and return a deterministic report."""
     kind = _KINDS[config.kind]
-    return kind.run(config.limits, **kind.params(config.params))
+    values = kind.params(config.params)
+    _check_cost(config.limits, kind.cost(values))
+    return kind.run(**values)
 
 
 # ----------------------------------- CLI ------------------------------------
@@ -673,11 +697,7 @@ def _config_from_json_obj(obj: dict) -> ExperimentConfig:
 def _execute(config: ExperimentConfig, dump_operator: str | None = None) -> None:
     if dump_operator:  # the only matrix a Winding run builds
         params = _KINDS["Winding"].params(config.params)
-        if 2 * params["N"] + 1 > config.limits.max_matrix:
-            raise ResourceLimitError(
-                f"dumped operator size {2 * params['N'] + 1} exceeds the matrix cap "
-                f"{config.limits.max_matrix}"
-            )
+        _check_cost(config.limits, [("dumped operator rows", 2 * params["N"] + 1, "max_matrix")])
     with np.errstate(all="ignore"):  # no warnings: the report refuses any inf or nan
         report = run_experiment(config)
     if dump_operator:

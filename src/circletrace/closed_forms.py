@@ -155,17 +155,21 @@ def _horner(u, table: np.ndarray) -> np.ndarray:
     return acc.reshape(lanes)
 
 
-def _ramp_polynomial(w: np.ndarray, n_trunc: int, switch: float = 1e-4) -> np.ndarray:
+# Distance from w = 1 inside which the ramp polynomial is summed term by term.
+_RAMP_SWITCH = 1e-4
+
+
+def _ramp_polynomial(w: np.ndarray, n_trunc: int) -> np.ndarray:
     """sum_{k=0}^{N} (k+1) w^k, stable on and off the w = 1 singularity.
 
     Away from w = 1 this is (1 - (N+2) w^(N+1) + (N+1) w^(N+2)) / (1-w)^2;
-    within ``switch`` of w = 1 the explicit polynomial is summed instead.
+    within ``_RAMP_SWITCH`` of w = 1 the explicit polynomial is summed instead.
     Both sides are within 1e-8 relative of the explicit series (tested on
     and off the switch for N up to 4096).
     """
     w = np.asarray(w, dtype=complex)
     out = np.empty(w.shape, dtype=complex)
-    near = np.abs(1.0 - w) < switch
+    near = np.abs(1.0 - w) < _RAMP_SWITCH
     wf = w[~near]
     out[~near] = (1.0 - (n_trunc + 2) * wf ** (n_trunc + 1) + (n_trunc + 1) * wf ** (n_trunc + 2)) / (
         1.0 - wf

@@ -73,18 +73,6 @@ class FourierSymbol:
     def __getitem__(self, k: int) -> complex:
         return self.coeffs.get(k, 0j)
 
-    def conjugate(self) -> "FourierSymbol":
-        return FourierSymbol(
-            {-k: v.conjugate() for k, v in self.coeffs.items()},
-            real_valued=self.real_valued,
-        )
-
-    def __add__(self, other: "FourierSymbol") -> "FourierSymbol":
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0j) + v
-        return FourierSymbol(out)
-
     def pruned(self, tol: float) -> "FourierSymbol":
         """Drop coefficients with modulus <= tol."""
         return FourierSymbol(
@@ -236,12 +224,11 @@ def circle_grid(size: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(size) / size
 
 
-def sample_to_symbol(samples, tol: float = 0.0) -> FourierSymbol:
+def sample_to_symbol(samples) -> FourierSymbol:
     """Recover a symbol from values on a uniform power-of-two circle grid.
 
     Normalized so that sampling exp(i*k*theta) returns a unit coefficient at
     mode k; modes are folded to the symmetric range (-size/2, size/2].
-    Coefficients with modulus <= tol are dropped.
     """
     arr = np.asarray(samples, dtype=complex)
     if arr.ndim != 1 or arr.size < 2:
@@ -253,10 +240,7 @@ def sample_to_symbol(samples, tol: float = 0.0) -> FourierSymbol:
     coeffs: dict[int, complex] = {}
     half = size // 2
     for idx in range(size):
-        k = idx if idx <= half else idx - size
-        v = spec[idx]
-        if abs(v) > tol:
-            coeffs[k] = complex(v)
+        coeffs[idx if idx <= half else idx - size] = complex(spec[idx])
     return FourierSymbol(coeffs)
 
 

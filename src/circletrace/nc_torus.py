@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError
 
 __all__ = [
     "CliffordRep",
@@ -337,7 +337,6 @@ def torus_trace_partial(
     symbols: Sequence[LatticeSymbol],
     n_trunc: int,
     twist: AntisymmetricForm | None = None,
-    max_tuples: int = 10_000_000,
 ):
     """Truncated double sum for tr(T [F,a_1] ... [F,a_k]) divided by log(2+N).
 
@@ -350,7 +349,8 @@ def torus_trace_partial(
     through the symplectic-area factors of the zero-sum tuples (see the
     module docstring); passing ``twist=None`` computes the untwisted sums.
     The ball is evaluated in blocks of reference modes, one (B, dim_s, dim_s)
-    phase-product stack per zero-sum tuple and block.
+    phase-product stack per zero-sum tuple and block.  No size is checked
+    here: the NcTorus kind bounds the support tuples and the ball's cube.
     """
     from .closed_forms import TraceSequence  # local import avoids a cycle
 
@@ -364,18 +364,6 @@ def torus_trace_partial(
         raise ParameterError("twist form dimension does not match the representation")
 
     supports = [sym.support() for sym in symbols]
-    total = 1
-    for sup in supports:
-        total *= max(len(sup), 1)
-    if total > max_tuples:
-        raise ResourceLimitError(
-            f"support enumeration of {total} tuples exceeds the cap {max_tuples}"
-        )
-    cube = (2 * _iroot(max(n_trunc, 0), rep.n) + 1) ** rep.n
-    if cube > max_tuples:
-        raise ResourceLimitError(
-            f"lattice ball of {cube} candidate points exceeds the cap {max_tuples}"
-        )
     # theta(sum of a zero-sum tuple, K) = 0, so a tuple's twist phase is the
     # same for every reference mode K: take it once, at K = 0
     origin = (0,) * rep.n

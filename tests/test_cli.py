@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import hashlib
@@ -12,6 +13,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -390,6 +392,36 @@ def test_nctorus_oversized_ball_exits_3_at_once(tmp_path, capsys):
     assert "candidate points" in _stderr_line(capsys)
 
 
+# The NcTorus support-tuple and lattice-ball costs: (params, limits, message part).
+# Three copies of a symbol on the 15 x 15 square make 225^3 support tuples.
+SQUARE = {"modes": [[[i, j], 1.0, 0.0] for i in range(-7, 8) for j in range(-7, 8)]}
+TORUS_COSTS = {
+    "support": (
+        {"N": 8, "T": "identity", "symbols": [SQUARE] * 3},
+        {"max_tuples": 1000},
+        "11390625 support tuples exceed max_tuples = 1000",
+    ),
+    **{
+        f"ball-{n}-{N}": (
+            {"n": n, "N": N, "T": "dirac", "symbols": [{"pair": [1] + [0] * (n - 1)}] * 2},
+            {},
+            "candidate points exceed max_tuples = 10000000",
+        )
+        for n, N in [(2, "2**30"), (8, "2**40"), (1, "10**400")]
+    },
+}
+
+
+@pytest.mark.parametrize("params, limits, message", TORUS_COSTS.values(), ids=TORUS_COSTS)
+def test_nctorus_cost_over_max_tuples_exits_3(params, limits, message, tmp_path, capsys):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps({"kind": "NcTorus", "params": params, "limits": limits}))
+    start = time.perf_counter()
+    assert main(["run", "--config", str(path)]) == 3
+    assert time.perf_counter() - start < 2.0
+    assert message in _stderr_line(capsys)
+
+
 def test_nctorus_reports_are_deterministic_and_csv_capable():
     params = {
         "n": 2,
@@ -477,7 +509,7 @@ def test_winding_builds_no_matrix_so_the_cap_guards_only_the_dump(tmp_path, caps
     dump = tmp_path / "op.json"
     argv = ["winding", "--a", "z^3", "--N", "10**6", "--dump-operator", str(dump)]
     assert main([*argv, "--out", str(tmp_path / "d.json")]) == 3
-    assert "matrix cap" in _stderr_line(capsys)
+    assert "exceed max_matrix" in _stderr_line(capsys)
     assert not dump.exists() and not (tmp_path / "d.json").exists()
 
 
@@ -604,7 +636,7 @@ def test_winding_checks_the_inverse_grid_it_samples(max_tuples, tmp_path, capsys
     if max_tuples < 64:
         assert main(["run", "--config", str(path)]) == 3
         line = _stderr_line(capsys)
-        assert line == f"resource limit: inverse grid of 64 points exceeds {max_tuples}"
+        assert line == f"resource limit: 64 inverse grid points exceed max_tuples = {max_tuples}"
     else:
         assert main(["run", "--config", str(path)]) == 0
 
@@ -782,6 +814,32 @@ def test_small_configs_run():
     assert _run_batch(doc) == (0, "")
 
 
+# SMALL and a sweep on the dense route, so each Limits field is declared somewhere.
+@pytest.mark.parametrize(
+    "name, params",
+    [*SMALL.items(), ("SingularValueSweep", {"N": 48, "k_lo": 2})],
+    ids=[*SMALL, "SingularValueSweep-dense"],
+)
+def test_each_limit_refuses_one_below_the_declared_cost(name, params, monkeypatch):
+    kind = cli._KINDS[name]
+    largest: dict = {}
+    for _, amount, limit in kind.cost(kind.params(params)):
+        largest[limit] = max(amount, largest.get(limit, 0))
+    assert largest or name == "WeierstrassTrace"
+    entry = {"kind": name, "params": params}
+    assert _run_batch([{**entry, "limits": largest}]) == (0, "")
+
+    def runner_entered(**values):
+        raise AssertionError("the runner started on a refused config")
+
+    monkeypatch.setitem(cli._KINDS, name, replace(kind, run=runner_entered))
+    for limit, amount in largest.items():
+        code, err = _run_batch([{**entry, "limits": {**largest, limit: amount - 1}}])
+        assert code == 3 and len(err.splitlines()) == 1
+        assert err.startswith(f"resource limit: {amount} ")
+        assert err.endswith(f" exceed {limit} = {amount - 1}\n")
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(broken_configs())
 def test_malformed_batch_configs_exit_2(entry):
@@ -926,3 +984,23 @@ def test_public_surface_is_what_something_needs():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported == set(PUBLIC_SURFACE)
+
+
+def _refuses(node) -> bool:
+    return isinstance(node, ast.Raise) and "ResourceLimitError" in ast.unparse(node)
+
+
+def test_resource_limits_are_read_and_refused_in_one_place():
+    raises, raisers, readers = 0, [], set()
+    for path in sorted(Path(circletrace.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            raises += _refuses(node)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_refuses(inner) for inner in ast.walk(node)):
+                    raisers.append((path.name, node.name))
+            # an attribute, a name, a keyword or parameter, or a getattr string
+            names = (getattr(node, key, None) for key in ("attr", "id", "arg", "value"))
+            if {"max_tuples", "max_matrix"} & {name for name in names if isinstance(name, str)}:
+                readers.add(path.name)
+    assert (raises, raisers) == (1, [("cli.py", "_check_cost")])
+    assert readers == {"cli.py"}

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circletrace import nc_torus
-from circletrace.errors import ParameterError, ResourceLimitError
+from circletrace.errors import ParameterError
 from circletrace.nc_torus import (
     AntisymmetricForm,
     LatticeSymbol,
@@ -263,15 +263,6 @@ def test_torus_trace_untwisted_matches_closed_form_enumeration():
     assert np.max(np.abs(base.values - np.asarray(expected))) < 1e-12
 
 
-def test_torus_trace_support_cap():
-    rep = clifford_rep(2)
-    big = LatticeSymbol(
-        2, {(i, j): 1.0 for i in range(-7, 8) for j in range(-7, 8)}
-    )
-    with pytest.raises(ResourceLimitError):
-        torus_trace_partial(rep, identity_coefficients(rep), [big] * 3, 8, max_tuples=1000)
-
-
 def brute_force_ball(n, n_trunc):
     radius = 0
     while (radius + 1) ** n <= n_trunc:
@@ -413,11 +404,3 @@ def test_stacked_helpers_match_single_modes():
             assert np.array_equal(t_matrix, t_map(k))
     for k, product in zip(stack, products):
         assert np.array_equal(product, phase_product_matrix(rep, ModeTuple(combo, k)))
-
-
-@pytest.mark.parametrize("n, n_trunc", [(2, 2**30), (8, 2**40), (1, 10**400)])
-def test_torus_trace_ball_cap(n, n_trunc):
-    rep = clifford_rep(n)
-    sym = LatticeSymbol.symmetric_pair(unit(n, 0))
-    with pytest.raises(ResourceLimitError):
-        torus_trace_partial(rep, dirac_coefficients(rep), [sym, sym], n_trunc)

@@ -98,7 +98,8 @@ def test_commutator_adjoint_law():
     rng = np.random.default_rng(1)
     a = random_symbol(rng, 6)
     lhs = commutator_matrix(a, 12).matrix.conj().T
-    rhs = -commutator_matrix(a.conjugate(), 12).matrix
+    conjugate = FourierSymbol({-k: v.conjugate() for k, v in a.coeffs.items()})
+    rhs = -commutator_matrix(conjugate, 12).matrix
     assert np.allclose(lhs, rhs, atol=1e-14)
 
 
