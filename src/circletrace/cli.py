@@ -304,7 +304,10 @@ def _twist_from_obj(obj, rep: CliffordRep) -> AntisymmetricForm:
     if obj == "zero":
         return AntisymmetricForm.zero(rep.n)
     if isinstance(obj, dict) and "matrix" in obj:
-        return AntisymmetricForm(np.asarray(obj["matrix"], dtype=float))
+        form = AntisymmetricForm(np.asarray(obj["matrix"], dtype=float))
+        if form.n != rep.n:
+            raise ParameterError("twist form dimension does not match the representation")
+        return form
     if isinstance(obj, dict) and "random" in obj:
         rng = np.random.default_rng(int(obj["random"]))
         scale = float(obj.get("scale", 1.0))
@@ -323,6 +326,15 @@ def _lattice_symbol_from_obj(obj, n: int) -> LatticeSymbol:
             coeffs[tuple(int(c) for c in vec)] = complex(float(re_part), float(im_part))
         return LatticeSymbol(n, coeffs)
     raise ParameterError(f"cannot interpret lattice symbol spec {obj!r}")
+
+
+def _lattice_symbols_from_obj(objs, rep: CliffordRep) -> list[LatticeSymbol]:
+    if not objs:
+        raise ParameterError("at least one symbol is required")
+    symbols = [_lattice_symbol_from_obj(obj, rep.n) for obj in objs]
+    if any(sym.dim != rep.n for sym in symbols):
+        raise ParameterError("symbol dimension does not match the representation")
+    return symbols
 
 
 # ------------------------------ experiment kinds ----------------------------
@@ -353,12 +365,18 @@ def _kind(name: str, command: str, help: str, *params: Param, cost: Callable = l
     return register
 
 
+def _short(amount: int) -> str:
+    """An amount in full up to 18 digits, else as d.ddde+X cut from its decimal digits."""
+    digits = str(amount)
+    return digits if len(digits) <= 18 else f"{digits[0]}.{digits[1:4]}e+{len(digits) - 1}"
+
+
 def _check_cost(limits: Limits, cost) -> None:
     """ResourceLimitError at the first entry whose amount exceeds its limit."""
     for quantity, amount, name in cost:
         limit = getattr(limits, name)
         if amount > limit:
-            raise ResourceLimitError(f"{amount} {quantity} exceed {name} = {limit}")
+            raise ResourceLimitError(f"{_short(amount)} {quantity} exceed {name} = {_short(limit)}")
 
 
 @_kind(
@@ -568,17 +586,25 @@ _T_MAPS = {
 }
 
 
+def _t_map_name(name, rep: CliffordRep) -> str:
+    """The name of a T coefficient map that the torus dimension can carry."""
+    if not isinstance(name, str) or name not in _T_MAPS:
+        raise ParameterError(f"unknown T coefficient map {name!r}")
+    _T_MAPS[name](rep)  # refuses the grading map on an odd-dimensional torus
+    return name
+
+
 # "n" parses to the Clifford representation, so the torus dimension is
-# checked before the twist and the symbols are sized by it.
+# checked first and the T map, the twist and the symbols are checked against
+# it: every parameter error comes before the cost.
 @_kind(
     "NcTorus", "nctorus", "twisted torus truncated trace sums",
     Param("n", lambda n: clifford_rep(parse_size(n)), 2, help="torus dimension"),
     Param("N", parse_size, 64),
-    Param("T", str, "grading-dirac", help="one of " + ", ".join(_T_MAPS)),
+    Param("T", _t_map_name, "grading-dirac", uses=("n",), help="one of " + ", ".join(_T_MAPS)),
     Param("theta", _twist_from_obj, "zero", uses=("n",),
           help='"zero", {"matrix": ...} or {"random": seed, "scale": s}'),
-    Param("symbols", lambda objs, rep: [_lattice_symbol_from_obj(o, rep.n) for o in objs],
-          uses=("n",),
+    Param("symbols", _lattice_symbols_from_obj, uses=("n",),
           help='list of {"pair": v, "amplitude": z} or {"modes": [[v, re, im], ...]}'),
     cost=lambda v: [
         ("support tuples", math.prod(max(len(s.coeffs), 1) for s in v["symbols"]), "max_tuples"),
@@ -588,8 +614,6 @@ _T_MAPS = {
     config_file=True,
 )
 def _run_nctorus(*, n: CliffordRep, N, T, theta, symbols) -> Report:
-    if T not in _T_MAPS:
-        raise ParameterError(f"unknown T coefficient map {T!r}")
     t_map = _T_MAPS[T](n)
     seq = torus_trace_partial(n, t_map, symbols, N, theta)
     control = torus_trace_partial(n, t_map, symbols, N, None)

@@ -9,6 +9,12 @@ and would otherwise be invisible to the hat family, so the norm estimators
 add two unit-weight singleton levels at modes +1 and -1 (scale exponent 0).
 With that convention a lacunary symbol whose lowest mode is +-1 is weighted
 exactly like every other lacunary level.
+
+The L^p norms of a block piece are taken on a uniform grid of G angles, but
+a piece's grid values repeat with period G / gcd(G, k_1 mod G, k_2 mod G,
+...), the lcm of its modes' periods, so only one period is built.  The max
+over that period is the grid max; a finite-p mean is taken over |v|^p tiled
+back to all G entries, so it is bit for bit the full-grid mean.
 """
 
 from __future__ import annotations
@@ -105,14 +111,6 @@ def holder_norm_star(a: FourierSymbol, alpha: float, gamma: int) -> float:
     return besov_norm(a, alpha, INF, INF, gamma)
 
 
-def _lp_norm(values: np.ndarray, p) -> float:
-    values = np.abs(values)
-    if p == INF:
-        return float(np.max(values))
-    # volume-1 circle: L^p is a plain grid mean
-    return float(np.mean(values ** p) ** (1.0 / p))
-
-
 def besov_norm(a: FourierSymbol, t: float, p, q, gamma: int) -> float:
     """Nested norm: l^q over levels of gamma^(|n|*t) * L^p of each block piece.
 
@@ -128,18 +126,27 @@ def besov_norm(a: FourierSymbol, t: float, p, q, gamma: int) -> float:
     # A piece's values at the angles 2*pi*j/size are gathered from one table
     # of roots of unity at the exactly reduced indices (k mod size) * j mod
     # size: no phase k * theta is rounded and no exponential is taken per mode.
-    # Those indices repeat with period size / gcd(k mod size, size), so each
-    # product c * root is formed once per period and added to every repeat.
+    # Those indices repeat with period size / gcd(k mod size, size): each
+    # product c * root is formed once per period and added, in mode order as
+    # on the whole grid, to every repeat within the piece's one period.  The
+    # finite-p mean tiles |v|^p back to the whole grid, the very array a
+    # full-grid mean sums, so np.mean keeps its pairwise order and its bits.
     j = np.arange(size)
     roots = np.exp(1j * (2.0 * np.pi * j / size))
     per_level = []
     for absn, modes, coeffs in _norm_levels(a, gamma):
-        values = np.zeros(size, dtype=complex)
-        for k, c in zip(modes.tolist(), coeffs.tolist()):
-            period = size // math.gcd(k % size, size)
+        residues = [k % size for k in modes.tolist()]
+        values = np.zeros(size // math.gcd(size, *residues), dtype=complex)
+        for r, c in zip(residues, coeffs.tolist()):
+            period = size // math.gcd(r, size)
             repeats = values.reshape(-1, period)  # a view: one row per period
-            repeats += c * roots[j[:period] * (k % size) % size]
-        per_level.append(gamma ** (absn * t) * _lp_norm(values, p))
+            repeats += c * roots[j[:period] * r % size]
+        magnitudes = np.abs(values)
+        if p == INF:
+            norm = np.max(magnitudes)
+        else:  # volume-1 circle: L^p is a plain grid mean
+            norm = np.mean(np.tile(magnitudes**p, size // len(values))) ** (1.0 / p)
+        per_level.append(gamma ** (absn * t) * float(norm))
     if not per_level:
         return 0.0
     arr = np.asarray(per_level)

@@ -419,7 +419,55 @@ def test_nctorus_cost_over_max_tuples_exits_3(params, limits, message, tmp_path,
     start = time.perf_counter()
     assert main(["run", "--config", str(path)]) == 3
     assert time.perf_counter() - start < 2.0
-    assert message in _stderr_line(capsys)
+    line = _stderr_line(capsys)
+    assert message in line and len(line) < 120
+
+
+# Amounts and limits of up to 18 digits print in full; longer ones as
+# d.ddde+X, cut from their decimal digits.
+@pytest.mark.parametrize(
+    "N, max_tuples, shown",
+    [
+        (10**17 + 1, 10**17,
+         "100000000000000001 trace points exceed max_tuples = 100000000000000000"),
+        (10**18, 10**17, "1.000e+18 trace points exceed max_tuples = 100000000000000000"),
+        ("10**400", 12345678901234567890, "1.000e+400 trace points exceed max_tuples = 1.234e+19"),
+    ],
+)
+def test_resource_messages_shorten_amounts_past_18_digits(N, max_tuples, shown, tmp_path, capsys):
+    path = tmp_path / "batch.json"
+    params = {"a": "z^1", "b": "z^-1", "N": N}
+    path.write_text(json.dumps({"kind": "FourierTrace", "params": params,
+                                "limits": {"max_tuples": max_tuples}}))
+    assert main(["run", "--config", str(path)]) == 3
+    assert _stderr_line(capsys) == f"resource limit: {shown}"
+
+
+# NcTorus parameter errors that sit on an oversized ball: each parses before
+# the cost is checked, so each exits 2, not 3.
+TORUS_INVALID = {
+    "grading-odd-n": ({"n": 1, "N": "10**400", "symbols": [{"pair": [1]}]},
+                      "T: grading coefficients need an even-dimensional torus"),
+    "unknown-T": ({"n": 2, "N": "2**40", "T": "chiral", "symbols": [{"pair": [1, 0]}]},
+                  "T: unknown T coefficient map 'chiral'"),
+    "no-symbols": ({"n": 8, "N": "2**40", "T": "dirac", "symbols": []},
+                   "symbols: at least one symbol is required"),
+    "pair-dimension": ({"n": 2, "N": "2**40", "symbols": [{"pair": [1, 0, 0]}]},
+                       "symbols: symbol dimension does not match the representation"),
+    "twist-dimension": (
+        {"n": 2, "N": "2**40", "theta": {"matrix": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]},
+         "symbols": [{"pair": [1, 0]}]},
+        "theta: twist form dimension does not match the representation",
+    ),
+}
+
+
+@pytest.mark.parametrize("params, message", TORUS_INVALID.values(), ids=TORUS_INVALID)
+def test_nctorus_parameter_errors_come_before_the_cost(params, message, tmp_path, capsys):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps({"kind": "NcTorus", "params": params}))
+    assert main(["run", "--config", str(path)]) == 2
+    assert _stderr_line(capsys) == f"parameter error: NcTorus: {message}"
 
 
 def test_nctorus_reports_are_deterministic_and_csv_capable():

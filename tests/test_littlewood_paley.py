@@ -14,7 +14,6 @@ from circletrace.fourier import (
 )
 from circletrace.littlewood_paley import (
     INF,
-    _lp_norm,
     _norm_levels,
     besov_norm,
     hat_weights,
@@ -183,36 +182,65 @@ def test_norms_match_the_dict_route(gamma):
                 )
 
 
-def gathered_besov(a, t, p, q, gamma, size):
-    # each mode's values gathered over the whole grid, at (k mod G) * j mod G
+def gathered_lp_norms(a, gamma, size):
+    """(scale exponent, {p: L^p norm}) of each block piece, p in 1, 2, INF.
+
+    Each mode's values are gathered over the whole grid, at (k mod G) * j mod
+    G, and the norms are the max and the grid mean of |v|^p over all G
+    entries: nothing is shared with the one-period route under test.
+    """
     j = np.arange(size)
     roots = np.exp(1j * (2.0 * np.pi * j / size))
-    per_level = []
+    levels = []
     for absn, modes, coeffs in _norm_levels(a, gamma):
         values = np.zeros(size, dtype=complex)
         for k, c in zip(modes.tolist(), coeffs.tolist()):
             values += c * roots[j * (k % size) % size]
-        per_level.append(gamma ** (absn * t) * _lp_norm(values, p))
-    arr = np.asarray(per_level)
+        magnitudes = np.abs(values)
+        norms = {p: float(np.mean(magnitudes ** float(p)) ** (1.0 / p)) for p in (1, 2)}
+        levels.append((absn, {**norms, INF: float(np.max(magnitudes))}))
+    return levels
+
+
+def gathered_besov(levels, t, p, q, gamma):
+    arr = np.asarray([gamma ** (absn * t) * norms[p] for absn, norms in levels])
     return float(np.max(arr)) if q == INF else float(np.sum(arr**q) ** (1.0 / q))
 
 
 def test_norms_equal_the_full_grid_gather():
     # negative modes, mode 0, modes coprime to G and sharing factors with it,
     # on the default grids G = 8 * n_max: 320 and 360 (not powers of 2) and
-    # the lacunary 2^13
+    # the lacunary 2^13; a piece whose modes all share a factor with G, so
+    # that its values repeat with a period 1 < P < G (G = 384, modes that are
+    # multiples of 6, P = 64); W(0.7, 3, 1) on its 3-adic grid 8 * 3^6; and
+    # the benchmark's W(1/2, 2, 1) at band 2^14, G = 2^17
     rng = np.random.default_rng(8)
     trig = FourierSymbol({k: complex(*rng.standard_normal(2)) for k in range(-40, 41)})
     trig45 = FourierSymbol({k: complex(*rng.standard_normal(2)) for k in range(-45, 46)})
     w = lacunary(0.5, 2, CoefficientRule.constant(1.0), 2**10)
-    for a, size in ((trig, 320), (trig45, 360), (w, 2**13)):
-        for gamma in (2, 3):
-            expected = gathered_besov(a, 0.5, INF, INF, gamma, size)
-            assert holder_norm_star(a, 0.5, gamma) == expected
+    shared = FourierSymbol({k: complex(*rng.standard_normal(2)) for k in range(0, 49, 6)})
+    cases = [
+        (trig, 320, (2, 3)),
+        (trig45, 360, (2, 3)),
+        (w, 2**13, (2, 3)),
+        (shared, 384, (2, 3)),
+        (lacunary(0.7, 3, CoefficientRule.constant(1.0), 3**6), 8 * 3**6, (3,)),
+        (lacunary(0.5, 2, CoefficientRule.constant(1.0), 2**14), 2**17, (2,)),
+    ]
+    periods = set()  # which kinds of period P the pieces reach
+    for a, size, gammas in cases:
+        assert max(8 * a.n_max, 16) == size
+        for gamma in gammas:
+            for _, modes, _ in _norm_levels(a, gamma):
+                period = size // math.gcd(size, *(k % size for k in modes.tolist()))
+                periods.add("1" if period == 1 else "G" if period == size else "1 < P < G")
+            levels = gathered_lp_norms(a, gamma, size)
+            assert holder_norm_star(a, 0.5, gamma) == gathered_besov(levels, 0.5, INF, INF, gamma)
             for p in (1, 2, INF):
                 for q in (1, 2, INF):
-                    expected = gathered_besov(a, 0.5, p, q, gamma, size)
+                    expected = gathered_besov(levels, 0.5, p, q, gamma)
                     assert besov_norm(a, 0.5, p, q, gamma) == expected
+    assert periods == {"1", "1 < P < G", "G"}
 
 
 def test_holder_norm_of_lacunary_families():
