@@ -30,12 +30,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import closed_forms as cf
-from .dixmier import (
-    ClassifyPolicy,
-    cesaro_mean,
-    classify_limit,
-    log_extrapolate,
-)
+from .dixmier import ClassifyPolicy, classify_limit, divide_by_counts, log_extrapolate
 from .errors import ParameterError, ResourceLimitError
 from .fourier import (
     CoefficientRule,
@@ -215,6 +210,14 @@ def parse_size(text) -> int:
     return value
 
 
+def parse_int64_size(text) -> int:
+    """A positive integer below 2^63, so that it indexes int64 arrays."""
+    value = parse_size(text)
+    if value >= 2**63:
+        raise ParameterError(f"must be below 2**63, the int64 range, got {_short(value)}")
+    return value
+
+
 def _record(cls: type, cli: tuple[str, ...] = ()) -> _Table:
     """Table of a dataclass of numbers: positive int fields parsed by
     ``parse_size``, float fields by ``parse_float``."""
@@ -354,12 +357,14 @@ _KINDS: dict[str, _Kind] = {}
 
 
 def _kind(name: str, command: str, help: str, *params: Param, cost: Callable = lambda v: (),
-          config_file: bool = False):
+          make: Callable = dict, config_file: bool = False):
     """Registers a runner, called with the typed params, as a kind; ``cost`` maps the
-    params to the (quantity, amount, Limits field) entries checked before it runs."""
+    params to the (quantity, amount, Limits field) entries checked before it runs, and
+    ``make`` checks the params that only together can be invalid, before the cost."""
 
     def register(run):
-        _KINDS[name] = _Kind(command, help, _Table(name, *params), cost, run, config_file)
+        table = _Table(name, *params, make=make)
+        _KINDS[name] = _Kind(command, help, table, cost, run, config_file)
         return run
 
     return register
@@ -384,7 +389,7 @@ def _check_cost(limits: Limits, cost) -> None:
     _GAMMA, _ALPHA, _C,
     Param("d", rule_from_obj, lambda v: v["c"], flag="--d-coeffs",
           help="coefficient rule for d, default: the c rule"),
-    Param("N", parse_size, "2**40"),
+    Param("N", parse_int64_size, "2**40"),
 )
 def _run_weierstrass_trace(*, gamma, alpha, c, d, N) -> Report:
     if alpha != 0.5:
@@ -392,8 +397,6 @@ def _run_weierstrass_trace(*, gamma, alpha, c, d, N) -> Report:
             "the lacunary trace closed form is exact only at alpha = 1/2; "
             f"got alpha = {alpha}"
         )
-    if N >= 2**63:
-        raise ParameterError(f"N = {N} is beyond the int64 range of the trace points")
     seq = cf.weierstrass_trace(gamma, c, d, N)
     limit, slope = log_extrapolate(np.asarray(seq.values, dtype=float), seq.points)
     report = Report(kind="WeierstrassTrace")
@@ -431,11 +434,11 @@ def _entries_file(path: str):
 
 def _cesaro_of_product(c: CoefficientRule, d: CoefficientRule, size: int) -> np.ndarray:
     """Cesaro means of the first ``size`` terms of c*d (d defaults to c
-    itself).  Nothing else long stays alive, so with the classifier's copy of
-    the tail a rule holds at most two arrays of ``size`` floats."""
+    itself), formed in the array of c's values: a rule holds one array of
+    ``size`` floats, and a second only while d's values are multiplied in."""
     product = c.values(size)
     np.multiply(product, product if d is c else d.values(size), out=product)
-    return cesaro_mean(product)
+    return divide_by_counts(np.cumsum(product, out=product))
 
 
 # Without "entries" the params are one entry, labelled "sequence".
@@ -484,6 +487,15 @@ def _sweep_cost(v: dict):
         yield "dense matrix rows", v["N"], "max_matrix"
 
 
+def _sweep_params(**v) -> dict:
+    """The params, once an explicit fit window is checked: the default k_hi is the
+    rank capped at min(512, N/4), so a k_lo the cap refuses fails for every rank."""
+    if v["k_lo"] is not None or v["k_hi"] is not None:
+        hi = min(512, v["N"] // 4) if v["k_hi"] is None else v["k_hi"]
+        check_fit_window(_default_k_lo(v["k_lo"], hi), hi, v["N"])
+    return v
+
+
 @_kind(
     "SingularValueSweep", "singular-sweep", "Hankel singular values of a lacunary symbol",
     _ALPHA, _GAMMA, _C, Param("N", parse_size, 1024),
@@ -491,22 +503,16 @@ def _sweep_cost(v: dict):
           help="quasinorm exponent, default: 1/alpha"),
     Param("k_lo", parse_int_expr, None, help="default: 16, or max(1, k_hi // 2) when k_hi < 18"),
     Param("k_hi", parse_int_expr, None, help="default: min(512, N/4, numerical rank)"),
-    cost=_sweep_cost,
+    cost=_sweep_cost, make=_sweep_params,
 )
 def _run_singular_sweep(*, alpha, gamma, c, N, p, k_lo, k_hi) -> Report:
-    # An explicit window is checked before the spectrum of N values: the default
-    # k_hi is the rank capped at min(512, N/4), so a k_lo the cap refuses fails for every rank.
-    cap = min(512, N // 4)
-    if k_lo is not None or k_hi is not None:
-        hi = cap if k_hi is None else k_hi
-        check_fit_window(_default_k_lo(k_lo, hi), hi, N)
     symbol, closed = _sweep_symbol(alpha, gamma, c, N)
     if closed:
         spectrum = lacunary_hankel_spectrum(symbol, gamma, N)
     else:
         spectrum = singular_values(hankel_matrix(symbol, N))
     if k_hi is None:
-        k_hi = min(cap, int(np.count_nonzero(spectrum.mu > 0)))
+        k_hi = min(512, N // 4, int(np.count_nonzero(spectrum.mu > 0)))
     k_lo = _default_k_lo(k_lo, k_hi)
     report = Report(kind="SingularValueSweep")
     report.inputs = dict(alpha=alpha, gamma=gamma, N=N, c=_rule_json(c), p=p, k_lo=k_lo, k_hi=k_hi)
@@ -558,12 +564,10 @@ def _double_sum(a: FourierSymbol, b: FourierSymbol, n_trunc: int) -> complex:
 
 
 @_kind(
-    "Winding", "winding", "winding number trace", _A, Param("N", parse_size, 64),
+    "Winding", "winding", "winding number trace", _A, Param("N", parse_int64_size, 64),
     cost=lambda v: [("inverse grid points", cf.inverse_grid_size(v["a"]), "max_tuples")],
 )
 def _run_winding(*, a, N) -> Report:
-    if N >= 2**63:
-        raise ParameterError(f"N = {N} is beyond the int64 range of the safe band")
     result = cf.winding_report(a, N)
     report = Report(kind="Winding")
     report.inputs = {"N": N, "band": a.n_max}

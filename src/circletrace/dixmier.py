@@ -33,6 +33,7 @@ __all__ = [
     "ClassifyPolicy",
     "residue_sequence",
     "cesaro_mean",
+    "divide_by_counts",
     "classify_limit",
     "log_extrapolate",
 ]
@@ -70,9 +71,18 @@ def residue_sequence(op: TruncatedOperator) -> ResidueSequence:
     return ResidueSequence(sums, sums / norm)
 
 
-# Terms per division step of cesaro_mean: its counts 1..N+1 are made one
-# block at a time, never as an N-length array.
-_COUNT_BLOCK = 1 << 14
+# Entries per step of the blocked passes below: cesaro_mean's counts 1..N+1
+# and the classifier's band scan are made one block at a time, never as an
+# N-length array.
+_BLOCK = 1 << 14
+
+
+def divide_by_counts(sums: np.ndarray) -> np.ndarray:
+    """``sums[N] /= N + 1`` in place: running sums become running averages."""
+    for lo in range(0, sums.size, _BLOCK):
+        hi = min(lo + _BLOCK, sums.size)
+        sums[lo:hi] /= np.arange(lo + 1, hi + 1, dtype=float)
+    return sums
 
 
 def cesaro_mean(x) -> np.ndarray:
@@ -81,11 +91,7 @@ def cesaro_mean(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ParameterError("cesaro_mean expects a 1-d sequence")
-    out = np.cumsum(arr)
-    for lo in range(0, out.size, _COUNT_BLOCK):
-        hi = min(lo + _COUNT_BLOCK, out.size)
-        out[lo:hi] /= np.arange(lo + 1, hi + 1, dtype=float)
-    return out
+    return divide_by_counts(np.cumsum(arr))
 
 
 class VerdictKind(Enum):
@@ -149,6 +155,58 @@ def _window_bounds(length: int, base: int) -> list[tuple[int, int]]:
     return list(zip(powers[2:], powers[3:]))
 
 
+# Strided sample that brackets each rank _percentiles looks for, and the
+# sample entries kept on each side of the rank's estimated place.
+_SAMPLE = 1 << 12
+_MARGIN = 64
+
+
+def _percentiles(x: np.ndarray, q) -> list[float]:
+    """``np.percentile(x, q).tolist()`` bit for bit, for a finite 1-d float64
+    ``x``, without a copy of ``x``.
+
+    A sorted strided sample brackets the two ranks each level interpolates
+    between; one blocked pass counts the entries below each bracket and
+    gathers the band inside it, and only the band is partitioned.  A bracket
+    that misses its ranks (a sample aligned with a periodic input can), or a
+    rank that holds a zero, falls back to ``np.percentile``.  The levels are
+    numpy's ``linear`` ones.
+    """
+    n = x.size
+    virtual = (n - 1) * np.true_divide(q, 100)
+    prev = np.floor(virtual).astype(np.intp)
+    # at q = 100 both ends are the last entry, so the weight there does not
+    # matter; numpy's own weight differs from this one only in that case
+    ranks = np.stack([prev, np.minimum(prev + 1, n - 1)], axis=1)
+    gamma = virtual - prev
+    sample = np.sort(x[:: max(1, n // _SAMPLE)])
+    at = np.minimum(prev * sample.size // n, sample.size - 1)
+    padded = np.concatenate(([-np.inf], sample, [np.inf]))  # padded[j + 1] = sample[j]
+    lows = padded[np.maximum(at - _MARGIN, -1) + 1]
+    highs = padded[np.minimum(at + _MARGIN, sample.size) + 1]
+    below = np.zeros(len(q), dtype=np.intp)
+    bands: list[list[np.ndarray]] = [[] for _ in q]
+    for lo in range(0, n, _BLOCK):
+        block = x[lo : lo + _BLOCK]
+        for i, band in enumerate(bands):
+            below[i] += np.count_nonzero(block < lows[i])
+            band.append(block[(block >= lows[i]) & (block <= highs[i])])
+    ends = []
+    for band, wanted in zip(bands, ranks - below[:, None]):
+        band = np.concatenate(band)
+        if 0 <= wanted.min() and wanted.max() < band.size:
+            band.partition(wanted)
+            ends.append(band[wanted])
+    # which of 0.0 and -0.0 lands on a rank depends on how numpy partitions all of x
+    if len(ends) < len(q) or not np.all(ends):
+        return np.percentile(x, q).tolist()
+    a, b = np.array(ends).T
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out.tolist()
+
+
 def classify_limit(x, policy: ClassifyPolicy | None = None) -> MeasurabilityVerdict:
     """Classify the tail behavior of a bounded sequence.
 
@@ -169,7 +227,7 @@ def classify_limit(x, policy: ClassifyPolicy | None = None) -> MeasurabilityVerd
             f"sequence of length {arr.size} is too short for "
             f"{pol.window_count} windows with base {pol.window_base}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite([arr.min(), arr.max()]).all():  # nan and inf reach one of them
         raise ParameterError("sequence entries must be finite")
 
     bounds = _window_bounds(arr.size, pol.window_base)
@@ -187,9 +245,9 @@ def classify_limit(x, policy: ClassifyPolicy | None = None) -> MeasurabilityVerd
     start = max(len(bounds) // 2, len(bounds) - max(pol.window_count, len(bounds) // 2))
     tail_bounds = bounds[start:]
     tail = arr[tail_bounds[0][0] : tail_bounds[-1][1]]
-    lower, upper = np.percentile(tail, [5, 95]).tolist()
+    lower, upper = _percentiles(tail, (5, 95))
     gap = upper - lower
-    scale = max(float(np.max(np.abs(tail))), pol.abs_floor)
+    scale = max(abs(float(tail.min())), abs(float(tail.max())), pol.abs_floor)
     if gap > pol.rel_gap * scale:
         hi_edge = upper - 0.25 * gap
         lo_edge = lower + 0.25 * gap

@@ -303,13 +303,13 @@ def operator_product(ops: list[TruncatedOperator]) -> TruncatedOperator:
     """Matrix product in the given order; adjacent bases must match exactly.
 
     The running product is kept as a block with the positions of its rows
-    and columns.  Each step multiplies the block's rows that are not all
-    zero by the next factor's block columns that are not all zero, over the
-    inner positions both blocks cover where neither is all zero; entries are
-    finite, so every skipped term is an exact zero.  Only blocks are scanned
-    and gathered, never a full-size matrix an operator does not hold.  A
-    factor with nothing to trim is multiplied as it is, and a one-factor
-    product is that factor.
+    and columns.  Each step takes the inner positions both blocks cover where
+    neither is all zero, and multiplies the block's rows that are not all
+    zero on them by the next factor's block columns that are not all zero;
+    entries are finite, so every skipped term is an exact zero.  Only blocks
+    are scanned and gathered, never a full-size matrix an operator does not
+    hold.  A factor with nothing to trim is multiplied as it is, and a
+    one-factor product is that factor.
     """
     if not ops:
         raise ParameterError("operator product needs at least one factor")
@@ -325,10 +325,11 @@ def operator_product(ops: list[TruncatedOperator]) -> TruncatedOperator:
     block, rows, cols = ops[0].block, ops[0].rows, ops[0].cols
     for op in ops[1:]:
         _, left, right = np.intersect1d(cols, op.rows, assume_unique=True, return_indices=True)
-        keep = np.flatnonzero(block.any(axis=1))
         inner = block.any(axis=0)[left] & op.block.any(axis=1)[right]
+        left, right = left[inner], right[inner]
+        keep = np.flatnonzero(block[:, left].any(axis=1))
         reach = np.flatnonzero(op.block.any(axis=0))
-        block = _gather(block, keep, left[inner]) @ _gather(op.block, right[inner], reach)
+        block = _gather(block, keep, left) @ _gather(op.block, right, reach)
         rows, cols = rows[keep], op.cols[reach]
     return _built(block, ops[0].row_basis, ops[-1].col_basis, rows, cols)
 

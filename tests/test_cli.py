@@ -363,6 +363,9 @@ OVERSIZED = {
     "weierstrass-trace": (["weierstrass-trace", "--gamma", "2", "--N", "2**200"], 2),
     "nctorus": (["nctorus", "--config", "torus.json"], 3),
     "singular-sweep": (["singular-sweep", "--N", "2**24"], 3),
+    # oversized and invalid: the parameter error comes before the cost
+    "winding-N-oversized-grid": (["winding", "--a", "z^1000000000", "--N", "2**200"], 2),
+    "singular-sweep-window-oversized": (["singular-sweep", "--N", "2**24", "--k-lo", "0"], 2),
 }
 TORUS_2_30 = {"n": 2, "N": "2**30", "symbols": [{"pair": [1, 0]}, {"pair": [0, 1]}]}
 
@@ -803,9 +806,10 @@ def broken_configs(draw):
     entry = {"kind": kind, "params": params}
     names = [p.name for p in table]
     required = [p.name for p in table if p.default is cli._REQUIRED]
-    numbers = (int, float, cli.parse_int_expr, cli.parse_size, cli.parse_float, cli.parse_gamma)
+    size_parsers = (cli.parse_size, cli.parse_int64_size)
+    numbers = (int, float, cli.parse_int_expr, cli.parse_float, cli.parse_gamma, *size_parsers)
     numeric = [p.name for p in table if p.parse in numbers]
-    sizes = [p.name for p in table if p.parse is cli.parse_size]
+    sizes = [p.name for p in table if p.parse in size_parsers]
     nested = [(p.name, BAD_NESTED[p.name]) for p in table if p.name in BAD_NESTED]
     how = draw(
         st.sampled_from(
@@ -898,11 +902,13 @@ def test_malformed_batch_configs_exit_2(entry):
 
 
 # The README CLI examples, plus one fourier-trace long enough for the
-# numpy-built '%.17g' rows; each writes the file named first.
+# numpy-built '%.17g' rows; each writes the file named first.  The
+# three-rule measurability table is the benchmark's measurability-4^10 op.
 README_EXAMPLES = [
     ("wt.json", ["weierstrass-trace", "--gamma", "2", "--N", "2**40"]),
     ("mb.json", ["measurability", "--rule", "block-indicator:2", "--N", "4**10"]),
     ("ms.json", ["measurability", "--rule", "sqrt-log-cos", "--N", "4**10"]),
+    ("mt.json", ["measurability", "--config", "entries.json", "--N", "4**10"]),
     ("ss.csv", ["singular-sweep", "--alpha", "0.5", "--gamma", "2", "--N", "1024",
                 "--format", "csv"]),
     ("kc.json", ["kernel-check", "--a", '{"modes": [[1, 1.0, 0.0]]}',
@@ -923,6 +929,7 @@ README_DIGESTS = {
     "wt.json": (True, "5dd8a6f57049818b40f0aa8969c34e0dae5a264ec00afdd080f7eb59a7328475"),  # lstsq
     "mb.json": (False, "fe0ea33e366caa2d5c1b6a1a1f1e03153975c74154ed45ed76f1a29a1ee10bee"),
     "ms.json": (False, "ab644818b623a6b6cba423714d8e8cc4bd0dc40356fb0ccc2a1c9326480753ef"),
+    "mt.json": (False, "49ba5066c75113a92d1598352115c7eb9c1b520d0a7358cf7267fbc844f8f52c"),
     "ss.csv": (True, "f3923d0971101e561b26907bd55a6bc7db55822fbb329fd3236ba5c84f2b02ea"),  # polyfit
     "kc.json": (True, "177583dfc075735d05ac036413acee333270fc369c090ede925780e2f605ddbb"),  # FFT
     "wd.json": (True, "0331e728116f42edf28476420da952e5a808fe14aa06ceb80637b5c06d0e265c"),  # FFT
@@ -942,6 +949,10 @@ def test_readme_example_bodies_are_byte_identical(tmp_path, monkeypatch):
     Path("torus.json").write_text(json.dumps(torus))
     lacunary = {"weierstrass": {"alpha": 0.5, "gamma": 2, "c": "constant:1", "cutoff": 1024}}
     Path("lacunary.json").write_text(json.dumps(lacunary))
+    rules = {"block-indicator": "block-indicator:2", "sqrt-log-cos": "sqrt-log-cos",
+             "constant": "constant:1"}
+    entries = [{"label": label, "c": rule} for label, rule in rules.items()]
+    Path("entries.json").write_text(json.dumps({"entries": entries}))
     for out, argv in README_EXAMPLES:
         assert main([*argv, "--out", out]) == 0
     changed = [

@@ -7,13 +7,17 @@ clusters, which is precisely what the classifier must detect.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from circletrace.dixmier import (
     ClassifyPolicy,
     VerdictKind,
+    _percentiles,
     _window_bounds,
     cesaro_mean,
     classify_limit,
@@ -189,6 +193,63 @@ def test_classifier_cluster_levels_are_the_tail_percentiles():
         assert verdict.kind is VerdictKind.OSCILLATING
         assert verdict.lower == float(np.percentile(tail, 5))
         assert verdict.upper == float(np.percentile(tail, 95))
+
+
+@st.composite
+def level_inputs(draw):
+    """Finite sequences with ties, constant runs, sorted, reversed and sawtooth
+    order, from a few entries (the window minimum) to several strides of the
+    classifier's sample."""
+    n = draw(st.one_of(st.integers(1, 200), st.integers(4000, 9000), st.integers(20_000, 60_000)))
+    kind = draw(st.sampled_from(["normal", "ties", "runs", "sorted", "reversed", "sawtooth"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ties":
+        return rng.integers(-3, 4, n) * 0.5
+    if kind == "runs":  # constant runs of random lengths, -0.0 among the values
+        values = rng.choice([-1.5, -0.0, 0.0, 2.0, 7.25], size=n // 8 + 1)
+        return np.repeat(values, rng.integers(1, 17, values.size))[:n].copy()
+    if kind == "sawtooth":  # periods at, near and off the classifier's sample stride
+        period = draw(st.sampled_from([1, 2, 3, 7, max(1, n // 4096), n // 4096 + 1, 97]))
+        return np.tile(np.arange(period, dtype=float), n // period + 1)[:n].copy()
+    x = rng.standard_normal(n)
+    if kind == "sorted":
+        x.sort()
+    elif kind == "reversed":
+        x = np.sort(x)[::-1].copy()
+    return x
+
+
+# constant runs where 0.0 and -0.0 tie on the 5th percentile's ranks: numpy's
+# partition of the whole array leaves 0.0 on them, a partition of the band
+# alone left -0.0
+SIGNED_ZERO_TIE = np.repeat(
+    [7.25, 2.0, 7.25, 0.0, -0.0, 2.0, 7.25, -1.5, 7.25, -0.0, 7.25, 0.0],
+    [1, 13, 13, 15, 1, 15, 24, 4, 2, 20, 25, 5],
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(level_inputs())
+@example(SIGNED_ZERO_TIE)
+def test_classifier_levels_are_numpy_percentiles_bit_for_bit(x):
+    levels = _percentiles(x, (5, 95))
+    assert np.array(levels).tobytes() == np.percentile(x, [5, 95]).tobytes()
+
+
+@pytest.mark.parametrize("rule", ["block-indicator", "sqrt-log-cos"])
+def test_classifier_holds_no_copy_of_the_tail(rule):
+    # the tail runs from index 2^11 to 2^20: one copy of it is about 8 MiB
+    c = {"block-indicator": CoefficientRule.block_indicator(2),
+         "sqrt-log-cos": CoefficientRule.sqrt_log_cos()}[rule].values(4**10 + 1)
+    x = cesaro_mean(c * c)
+    tracemalloc.start()
+    try:
+        verdict = classify_limit(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.kind is VerdictKind.OSCILLATING
+    assert peak < 2 * 2**20
 
 
 def test_classifier_monotone_trend_is_not_oscillating():

@@ -720,6 +720,29 @@ def test_residue_chain_holds_no_full_size_array():
     assert peak < 2_000_000
 
 
+def test_residue_chain_multiplies_only_rows_nonzero_on_the_inner_positions(monkeypatch):
+    # P's block covers the 513 nonnegative modes, but only the 16 modes 0..15
+    # meet [P,a]'s rows; the other 497 rows of P are zero there and are dropped
+    from circletrace import operators
+
+    rng = np.random.default_rng(12)
+    a, b = random_symbol(rng, 16), random_symbol(rng, 16)
+    n = 512
+    gather, gathered = operators._gather, []
+
+    def recording(block, rows, cols):
+        gathered.append(gather(block, rows, cols))
+        return gathered[-1]
+
+    monkeypatch.setattr(operators, "_gather", recording)
+    operator_product([szego_projection(n), commutator_matrix(a, n), commutator_matrix(b, n)])
+    lefts = gathered[::2]  # each step gathers its left operand, then its right one
+    assert len(gathered) == 4
+    for left in lefts:
+        assert left.shape == (16, 16)
+        assert left.any(axis=1).all()
+
+
 def test_winding_dump_writes_the_dense_commutator(tmp_path):
     from circletrace.cli import main
 
