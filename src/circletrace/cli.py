@@ -441,6 +441,12 @@ def _cesaro_of_product(c: CoefficientRule, d: CoefficientRule, size: int) -> np.
     return divide_by_counts(np.cumsum(product, out=product))
 
 
+def _measurability_params(**v) -> dict:
+    """The params, once N + 1 terms are checked against the policy's windows."""
+    v["policy"].check_length(v["N"] + 1)
+    return v
+
+
 # Without "entries" the params are one entry, labelled "sequence".
 @_kind(
     "Measurability", "measurability", "limit classification verdict table",
@@ -451,6 +457,7 @@ def _cesaro_of_product(c: CoefficientRule, d: CoefficientRule, size: int) -> np.
     *_ENTRY.params[:3],
     replace(_ENTRY.params[3], default="sequence"),
     cost=lambda v: [("coefficients per rule", v["N"] + 1, "max_tuples")],
+    make=_measurability_params,
 )
 def _run_measurability(*, N, policy, entries, label, gamma, c, d) -> Report:
     if entries is None:
@@ -540,14 +547,16 @@ _B = replace(_A, name="b")
     "KernelCheck", "kernel-check", "integral kernel quadrature vs double sum",
     _A, _B, Param("N", parse_size, 64), Param("r", parse_float, cf.KernelParams.r),
     Param("grid", parse_size, lambda v: 8 * v["N"], help="default: 8*N"),
-    cost=lambda v: [("quadrature grid points", v["grid"], "max_tuples")],
+    cost=lambda v: [("quadrature grid points", v["kernel"].grid, "max_tuples")],
+    make=lambda a, b, N, r, grid: {"a": a, "b": b, "kernel": cf.KernelParams(N, grid, r)},
 )
-def _run_kernel_check(*, a, b, N, r, grid) -> Report:
-    value = cf.integral_trace(a, b, cf.KernelParams(n_trunc=N, r=r, grid=grid))
+def _run_kernel_check(*, a, b, kernel: cf.KernelParams) -> Report:
+    N, r = kernel.n_trunc, kernel.r
+    value = cf.integral_trace(a, b, kernel)
     oracle = -_double_sum(a, b, N) / math.log(N)
-    refined = cf.integral_trace(a, b, cf.KernelParams(N, grid, 1.0 - (1.0 - r) / 10.0))
+    refined = cf.integral_trace(a, b, replace(kernel, r=1.0 - (1.0 - r) / 10.0))
     report = Report(kind="KernelCheck")
-    report.inputs = {"N": N, "r": r, "grid": grid}
+    report.inputs = {"N": N, "r": r, "grid": kernel.grid}
     report.add_scalar("tr(P[P,a][P,b]) via kernel quadrature", value, "1/log(N)")
     report.add_scalar("-sum_{l<=N} sum_{k>l} a_k b_{-k}", oracle, "1/log(N)")
     report.add_check("quadrature vs coefficient double sum", value, oracle)

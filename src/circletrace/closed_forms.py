@@ -285,7 +285,14 @@ def _fill_binomials(table: np.ndarray, n_trunc: int, ms: list[int]) -> None:
     By the hockey-stick identity order m is the running sum over k of order
     m-1, starting from the ones of order 1: an object-dtype cumsum of Python
     ints, taken over _BINOMIAL_ROWS rows at a time with one carry per order.
+    That is max(m) - 1 cumsums, so when N + 1 is below max(m) each entry is
+    one ``math.comb`` instead.
     """
+    if n_trunc + 1 < max(ms):
+        for i, mi in enumerate(ms):
+            column = [math.comb(k + mi - 1, mi - 1) for k in range(n_trunc + 1)]
+            table[:, i] = _as_floats(column, n_trunc, ms)
+        return
     carry = [0] * (max(ms) + 1)
     for start in range(0, n_trunc + 1, _BINOMIAL_ROWS):
         rows = slice(start, min(start + _BINOMIAL_ROWS, n_trunc + 1))

@@ -115,6 +115,19 @@ class ClassifyPolicy:
         if self.window_base < 2:
             raise ParameterError("window base must be >= 2")
 
+    def check_length(self, size: int) -> None:
+        """Refuse a sequence of ``size`` terms, shorter than window_base **
+        (window_count + 2); bit lengths settle a power far above ``size``
+        without forming it."""
+        need = self.window_count + 2
+        if need * (self.window_base.bit_length() - 1) >= size.bit_length() or (
+            size < self.window_base**need
+        ):
+            raise ParameterError(
+                f"sequence of length {size} is too short for "
+                f"{self.window_count} windows with base {self.window_base}"
+            )
+
 
 @dataclass(frozen=True)
 class MeasurabilityVerdict:
@@ -222,11 +235,7 @@ def classify_limit(x, policy: ClassifyPolicy | None = None) -> MeasurabilityVerd
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ParameterError("classify_limit expects a 1-d sequence")
-    if arr.size < pol.window_base ** (pol.window_count + 2):
-        raise ParameterError(
-            f"sequence of length {arr.size} is too short for "
-            f"{pol.window_count} windows with base {pol.window_base}"
-        )
+    pol.check_length(arr.size)
     if not np.isfinite([arr.min(), arr.max()]).all():  # nan and inf reach one of them
         raise ParameterError("sequence entries must be finite")
 

@@ -4,9 +4,9 @@ Builds the Hardy projection, Hankel blocks and commutators [P, a], and
 products thereof.  Operators are tagged with basis index maps so products
 can refuse mismatched bases instead of silently misaligning modes, and each
 carries its support: the block on the rows and columns that can be nonzero
-(the whole matrix for Hankel blocks and matrices callers pass in; the modes
-a symbol reaches for a commutator; the nonnegative modes for the
-projection).
+(the modes a symbol reaches for a Hankel block or a commutator; the
+nonnegative modes for the projection; the whole matrix for matrices callers
+pass in).
 Products and compressions work on these blocks, and the dense ``matrix`` is
 built only when asked for.  A block keeps the dtype its entries have:
 float64 for a real input (a Hankel block of real coefficients, the Szegő
@@ -205,22 +205,34 @@ def _toeplitz(vec: np.ndarray) -> np.ndarray:
     return sliding_window_view(vec, (vec.size + 1) // 2)[:, ::-1]
 
 
+def _reach(modes, limit: int) -> int:
+    """The largest of ``modes`` in 1..limit, 0 when there is none."""
+    return max((k for k in modes if 0 < k <= limit), default=0)
+
+
 def hankel_matrix(a: FourierSymbol, n: int) -> TruncatedOperator:
     """N x N block of P a (1-P): entry [l, i] = a_{l+i+1}.
 
     Rows run over holomorphic modes 0..N-1, columns over antiholomorphic
     modes -1..-N; only a_1..a_{2N-1} enter, and the matrix is constant along
-    anti-diagonals.  It is stored real when those coefficients are.  The
-    block is a strided view of the coefficients, copied once into the
-    operator.
+    anti-diagonals.  It is stored real when those coefficients are.  With
+    top = min(N, the largest mode of ``a`` in 1..2N-1), every entry on a row
+    or column from top on is an exact zero, so the operator keeps the
+    top x top corner, a strided view of the coefficients copied once.
     """
     if n < 1:
         raise ParameterError("truncation size must be >= 1")
     vec = _coeff_lookup(a, 1, 2 * n - 1)
     if not vec.imag.any():
         vec = vec.real
+    top = min(n, _reach(a.coeffs, 2 * n - 1))
+    support = np.arange(top)
     return TruncatedOperator(
-        sliding_window_view(vec, n), hardy_basis(n), antiholomorphic_basis(n)
+        sliding_window_view(vec, n)[:top, :top],
+        hardy_basis(n),
+        antiholomorphic_basis(n),
+        rows=support,
+        cols=support,
     )
 
 
@@ -255,8 +267,8 @@ def commutator_matrix(a: FourierSymbol, n: int) -> TruncatedOperator:
         raise ParameterError("truncation size must be >= 1")
     basis = full_basis(n)
     vec = _coeff_lookup(a, -2 * n, 2 * n)
-    top = max((k for k in a.coeffs if 0 < k <= 2 * n), default=0)
-    bottom = max((-k for k in a.coeffs if -2 * n <= k < 0), default=0)
+    top = _reach(a.coeffs, 2 * n)
+    bottom = _reach((-k for k in a.coeffs), 2 * n)
     labels = basis.labels
     rows = np.flatnonzero((labels >= -bottom) & (labels < top))
     cols = np.flatnonzero((labels >= -top) & (labels < bottom))

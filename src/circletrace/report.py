@@ -177,8 +177,8 @@ def _flat_pieces(items) -> list | None:
 
 def _exact_ints(column) -> bool:
     """Whether ``column`` is a nonempty int array or list of only Python ints
-    (bools excluded) with every entry strictly within 2**53 of 0, where
-    ``'%.17g' % float(k) == str(k)``."""
+    (bools excluded) with every entry strictly within 2**53 of 0, so that
+    int64 holds it and it has at most 16 digits."""
     if isinstance(column, np.ndarray):
         ints = column.dtype.kind in "iu"
     else:
@@ -240,10 +240,14 @@ def _cell_column(fmt: str, column) -> tuple:
     """(cell width, fill) for ``fmt % v`` of each v of a column; ``fill(out, lo,
     hi)`` writes the cells of rows [lo, hi) into a column-major byte matrix,
     NUL where a cell is shorter than the width."""
-    if fmt == "%.17g" or _exact_ints(column):
-        # '%.17g' % float(k) == str(k) for such k; each block is converted apart
+    # each block of rows is converted to a float or int64 array apart
+    if fmt == "%.17g":
         return _FLOAT_WIDTH, lambda out, lo, hi: _float_cells(
             out, np.asarray(column[lo:hi], dtype=float)
+        )
+    if _exact_ints(column):
+        return _INT_WIDTH, lambda out, lo, hi: _int_cells(
+            out, np.asarray(column[lo:hi], dtype=np.int64)
         )
     items = column.tolist() if isinstance(column, np.ndarray) else column
     text = np.array([str(v).encode().replace(b"\x00", b"\xff") for v in items])
@@ -255,14 +259,16 @@ def _cell_column(fmt: str, column) -> tuple:
     return text.shape[1], fill
 
 
-# '%.17g' cell layout, one matrix row per byte position.  A cell holds, in
-# order: the sign; "0." and up to three zeros (-4 <= E < 0); the 17 digits
-# with the point after the one it follows; "e", the exponent sign and three
-# exponent digits.  Bytes the value does not print are NUL.
+# Cell layouts, one matrix row per byte position; bytes a value does not
+# print are NUL.  A '%.17g' cell holds, in order: the sign; "0." and up to
+# three zeros (-4 <= E < 0); the 17 digits with the point after the one it
+# follows; "e", the exponent sign and three exponent digits.  An int cell
+# (|k| < 2**53) holds the sign and 16 digits, right-aligned.
 _FLOAT_WIDTH = 29
 _EXP = 24
+_INT_WIDTH = 17
 
-_GROUP_SCALES = (10**12, 10**8, 10**4, 1)  # the 16 digits after the lead, by four
+_GROUP_SCALES = (10**12, 10**8, 10**4, 1)  # 16 digits by four: after a float's lead, or an int's
 _GROUP_ENDS = (5, 9, 13, 17)  # one past the last digit of each group
 
 _POW_MIN, _POW_MAX = -270, 300  # 10**k for k = 16 - E, |E| <= 281
@@ -392,6 +398,19 @@ def _float_cells(out: np.ndarray, x: np.ndarray) -> None:
     if slow.size:
         out[:, slow] = 0
         out[:24, slow] = _percent_cells(x[slow]).view(np.uint8).reshape(-1, 24).T
+
+
+def _int_cells(out: np.ndarray, k: np.ndarray) -> None:
+    """Write ``str(v)`` for each v of k, |v| < 2**53, into the columns of
+    ``out`` (_INT_WIDTH rows), NUL in front of the leading digit."""
+    _put(out[0], k < 0, ord("-"))
+    a = np.abs(k)
+    groups = a // np.array(_GROUP_SCALES)[:, None] % 10**4
+    _, _, ascii_table, _ = _tables()
+    digits = ascii_table.take(groups).view(np.uint8).reshape(4, -1, 4).transpose(0, 2, 1)
+    # digit row r prints where |v| >= 10**(15 - r), and the last one always
+    shown = a >= np.array([10**p for p in range(15, 0, -1)] + [0])[:, None]
+    np.multiply(digits.reshape(16, -1), shown, out=out[1:])
 
 
 def _percent_cells(x: np.ndarray) -> np.ndarray:

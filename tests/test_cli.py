@@ -366,13 +366,23 @@ OVERSIZED = {
     # oversized and invalid: the parameter error comes before the cost
     "winding-N-oversized-grid": (["winding", "--a", "z^1000000000", "--N", "2**200"], 2),
     "singular-sweep-window-oversized": (["singular-sweep", "--N", "2**24", "--k-lo", "0"], 2),
+    "measurability-short-oversized": (["run", "--config", "short.json"], 2),
+    "kernel-check-r-oversized": (
+        ["kernel-check", "--a", "z^1", "--b", "z^-1", "--N", "8", "--r", "1.5", "--grid", "2**30"],
+        2,
+    ),
 }
 TORUS_2_30 = {"n": 2, "N": "2**30", "symbols": [{"pair": [1, 0]}, {"pair": [0, 1]}]}
+# N + 1 = 65 terms are too few for the default 5 dyadic windows, and above max_tuples
+SHORT_MEASURABILITY = {
+    "kind": "Measurability", "params": {"N": 64, "c": "constant:1"}, "limits": {"max_tuples": 10},
+}
 
 
 @pytest.mark.parametrize("argv, code", OVERSIZED.values(), ids=OVERSIZED)
 def test_oversized_commands_exit_with_one_line(argv, code, tmp_path):
     (tmp_path / "torus.json").write_text(json.dumps(TORUS_2_30))
+    (tmp_path / "short.json").write_text(json.dumps(SHORT_MEASURABILITY))
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
@@ -959,6 +969,47 @@ def test_readme_example_bodies_are_byte_identical(tmp_path, monkeypatch):
         f"{name}{' (host-bound)' if host_bound else ''}"
         for name, (host_bound, digest) in README_DIGESTS.items()
         if hashlib.sha256(Path(name).read_bytes()).hexdigest() != digest
+    ]
+    assert not changed, f"report bodies changed: {', '.join(changed)}"
+
+
+# Bodies at the benchmark's sizes, from configs of this file: the closed-form
+# sweep, a dense Fourier-side trace whose 2**17 rows take the numpy-built
+# '%.17g' and int cells in JSON and CSV, and the symmetric lacunary trace.
+# b is the conjugate symbol of a, so the dense trace is real.
+DENSE = {k: complex((k % 5 + 1) / 7, (k % 3 - 1) / 11) for k in range(-16, 17)}
+DENSE_A = {"modes": [[k, v.real, v.imag] for k, v in DENSE.items()]}
+DENSE_B = {"modes": [[-k, v.real, -v.imag] for k, v in DENSE.items()]}
+LACUNARY_2_16 = {"weierstrass": {"alpha": 0.5, "gamma": 2, "c": "constant:1", "cutoff": 2**16}}
+BENCH_SIZE_BODIES = {
+    "sweep-W(0.5,2,1)-2048.json": (
+        "SingularValueSweep", {"alpha": 0.5, "gamma": 2, "N": 2048, "c": "constant:1"}, "json",
+        True, "d2efa7e8fc55579b5f82782d1478dd90ee25c1e50d93ad988e25679cb03d1ded",  # lstsq
+    ),
+    **{
+        f"fourier-dense-2^17.{fmt}": (
+            "FourierTrace", {"a": DENSE_A, "b": DENSE_B, "N": 2**17}, fmt, False, digest,
+        )
+        for fmt, digest in [
+            ("json", "b69ece533d6b9332894047ed3e872188b7753335a858c55ec8ae96bab230847c"),
+            ("csv", "4305db8383f6e25accbf734ab9e3318e6ba3b42c3510a34253f211f5a65c560c"),
+        ]
+    },
+    "fourier-symmetric-lacunary-2^16.json": (
+        "FourierTrace", {"a": LACUNARY_2_16, "b": LACUNARY_2_16, "N": 2**16, "symmetric": True},
+        "json", False, "c5eb5b0e9f19f74c924254985219a70e2a02571661662d10efa5336d13938f2b",
+    ),
+}
+
+
+def test_benchmark_size_bodies_are_byte_identical():
+    def body(kind, params, fmt):
+        return emit_report(run_experiment(ExperimentConfig(kind, params)), fmt)
+
+    changed = [
+        f"{name}{' (host-bound)' if host_bound else ''}"
+        for name, (kind, params, fmt, host_bound, digest) in BENCH_SIZE_BODIES.items()
+        if hashlib.sha256(body(kind, params, fmt)).hexdigest() != digest
     ]
     assert not changed, f"report bodies changed: {', '.join(changed)}"
 

@@ -430,6 +430,16 @@ class TestSphereKernel:
         with pytest.raises(AssertionError, match="a binomial was formed"):
             sphere_kernel_routes(t, 2000, [1, 94])
 
+    @pytest.mark.parametrize("n, m", [(0, 20000), (3, 500), (39, 41), (40, 41)])
+    def test_binomials_match_math_comb_either_side_of_n_plus_one_orders(self, n, m):
+        # below N + 1 = max(m) each entry is one math.comb, from there a running sum
+        ms = [m, 1, m // 2]
+        table = np.empty((n + 1, len(ms)))
+        cf._fill_binomials(table, n, ms)
+        oracle = [[float(math.comb(k + mi - 1, mi - 1)) for mi in ms] for k in range(n + 1)]
+        assert same_bits(table, np.array(oracle))
+        assert same_bits(sphere_kernel(0.5, n, m), comb_polyval_kernel(0.5, n, m))
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             sphere_kernel(0.5, 4, 0)

@@ -273,6 +273,20 @@ def test_classifier_rejects_short_sequences():
         classify_limit(np.ones(2**6), ClassifyPolicy(window_count=5))
 
 
+@pytest.mark.parametrize("base, count", [(2, 2), (2, 5), (3, 4), (10, 3)])
+def test_policy_length_check_is_exact(base, count):
+    policy = ClassifyPolicy(window_count=count, window_base=base)
+    policy.check_length(base ** (count + 2))
+    with pytest.raises(ParameterError, match="too short"):
+        policy.check_length(base ** (count + 2) - 1)
+
+
+def test_policy_length_check_forms_no_power_far_above_the_size():
+    # 2 ** (10**12 + 2) would take 125 GB; bit lengths settle it first
+    with pytest.raises(ParameterError, match="too short for 1000000000000 windows"):
+        ClassifyPolicy(window_count=10**12).check_length(2**62)
+
+
 def test_classifier_gamma_adic_option():
     n = 3**12
     x = 1.0 + 1.0 / np.sqrt(np.arange(n) + 1.0)

@@ -177,6 +177,31 @@ def test_hankel_view_matches_gathered_build(n, real):
         assert same_bits(hankel_matrix(a, n).matrix, gathered_hankel(a, n))
 
 
+@st.composite
+def hankel_cases(draw):
+    """A truncation n and a symbol whose modes lie anywhere in -3n..3n, only
+    below 0, only at or beyond 2n where none enters the block, or nowhere;
+    with real or complex coefficients."""
+    n = draw(st.integers(1, 40))
+    lo, hi = draw(st.sampled_from([(-3 * n, 3 * n), (-3 * n, -1), (2 * n, 3 * n), (0, 0)]))
+    modes = draw(st.lists(st.integers(lo, hi), max_size=12, unique=True))
+    real = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = lambda: (rng.standard_normal(), 0.0 if real else rng.standard_normal())
+    return n, FourierSymbol({k: complex(*parts()) for k in modes})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(hankel_cases())
+def test_hankel_block_is_the_corner_its_modes_reach(case):
+    n, a = case
+    op = hankel_matrix(a, n)
+    assert same_bits(op.matrix, gathered_hankel(a, n))
+    top = min(n, max((k for k in a.coeffs if 0 < k < 2 * n), default=0))
+    assert op.block.shape == (top, top)
+    assert op.rows.tolist() == op.cols.tolist() == list(range(top))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_hankel_dtype_follows_the_coefficients_it_reads(n):
     # i + z^3: a_0 is complex but never enters the block

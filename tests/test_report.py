@@ -28,6 +28,19 @@ def mixed_floats(n: int, seed: int = 11) -> list:
         values[i * (n // len(specials))] = value
     return values
 
+# Integers at the digit-count boundaries of the int cells: +-(10**k - 1) and
+# +-10**k for k <= 15, +-(2**53 - 1) and 0.  Eight copies reach the numpy route.
+INT_EDGES = [
+    0, 2**53 - 1, -(2**53 - 1),
+    *(sign * v for k in range(16) for v in (10**k - 1, 10**k) for sign in (1, -1)),
+]
+INT_COLUMNS = [
+    INT_EDGES * 8,
+    np.array(INT_EDGES * 8),
+    np.array([k for k in INT_EDGES if abs(k) < 2**31] * 16, dtype=np.int32),
+    np.array([k for k in INT_EDGES if k >= 0] * 16, dtype=np.uint64),
+]
+
 # Lists the one-join path formats (all exactly float, int or complex) and
 # lists it must leave to the element-by-element path.
 LISTS = [
@@ -64,6 +77,8 @@ LISTS = [
     [1.5, "x"],
     [None, 1.0],
     [[1.0, -0.0], [3.0]],
+    INT_EDGES,
+    INT_EDGES * 8,
 ]
 
 
@@ -77,6 +92,16 @@ def written(obj) -> str:
 def test_list_bytes_equal_the_element_by_element_writer(items):
     elementwise = "[" + ", ".join(written(item) for item in items) + "]"
     assert written(items) == elementwise
+
+
+@pytest.mark.parametrize("column", INT_COLUMNS, ids=["list", "int64", "int32", "uint64"])
+def test_int_columns_write_str_of_each_entry(column):
+    items = column.tolist() if isinstance(column, np.ndarray) else column
+    assert written(column) == "[" + ", ".join(map(str, items)) + "]"
+    report = Report(kind="FourierTrace")
+    report.add_sequence("s", "x", "y", column, np.zeros(len(column)))
+    rows = emit_report(report, "csv").decode().splitlines()[1:]
+    assert rows == [f"s,{k},0,0" for k in items]
 
 
 def test_list_bytes_follow_the_float_format():
@@ -233,6 +258,8 @@ ARRAY_SEQUENCES = [
     (np.arange(3, dtype=np.int32), np.array([0.1, -0.0, 3e38], dtype=np.float32)),
     (np.arange(2), np.array([0.1 - 0.0j, 1e-30j], dtype=np.complex64)),
     (np.arange(6)[::2], (np.arange(6) * (1 - 1j))[::-2]),  # strided views
+    *((column, np.ones(len(column))) for column in INT_COLUMNS[1:]),
+    (np.arange(8 * len(INT_EDGES)), np.array(INT_EDGES * 8)),
 ]
 
 

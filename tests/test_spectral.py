@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,36 @@ def test_singular_values_match_dense_svd(case):
     assert np.max(np.abs(mu - oracle)) <= 1e-13 * oracle[0]
     rows, cols = op.matrix.any(axis=1).sum(), op.matrix.any(axis=0).sum()
     assert np.all(mu[min(rows, cols):] == 0.0)
+
+
+def _trig_poly(degree, real, seed=0):
+    rng = np.random.default_rng(seed)
+    parts = lambda: (rng.uniform(0.3, 1.0), 0.0 if real else rng.uniform(-1.0, 1.0))
+    return FourierSymbol({k: complex(*parts()) for k in range(-degree, degree + 1)})
+
+
+@pytest.mark.parametrize("degree, n", [(24, 1024), (5, 64), (70, 64), (3, 3), (2, 1)])
+@pytest.mark.parametrize("real", [True, False])
+def test_hankel_spectrum_equals_the_whole_block_route(degree, n, real):
+    # the whole N x N block held as a caller's matrix is the route before
+    # Hankel blocks kept only their top x top corner
+    op = hankel_matrix(_trig_poly(degree, real), n)
+    whole = TruncatedOperator(op.matrix, hardy_basis(n), antiholomorphic_basis(n))
+    mu, whole_mu = singular_values(op).mu, singular_values(whole).mu
+    assert mu.tobytes() == whole_mu.tobytes()
+
+
+def test_trig_hankel_spectrum_holds_no_whole_block():
+    # the 1024 x 1024 complex block would hold 16 MiB
+    a = _trig_poly(24, real=False)
+    singular_values(hankel_matrix(a, 1024))
+    tracemalloc.start()
+    try:
+        singular_values(hankel_matrix(a, 1024))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_operator_dtype_follows_its_entries():
