@@ -23,7 +23,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -38,6 +38,7 @@ from .fourier import (
     WeierstrassParams,
     gamma_powers,
     mode_symbol,
+    _mode_coeffs,
     symbol_from_json_obj,
     weierstrass_symbol,
 )
@@ -245,8 +246,8 @@ def rule_from_obj(obj) -> CoefficientRule:
                 [float(x) for x in arg.split(",") if x], extension="periodic"
             )
         if name == "block-indicator":
-            return CoefficientRule.block_indicator(int(arg) if arg else 2)
-        if name == "sqrt-log-cos":
+            return CoefficientRule.block_indicator(parse_int_expr(arg) if arg else 2)
+        if name == "sqrt-log-cos" and not arg:
             return CoefficientRule.sqrt_log_cos()
         raise ParameterError(f"unknown coefficient rule {obj!r}")
     if isinstance(obj, dict):
@@ -263,34 +264,40 @@ def _rule_json(rule: CoefficientRule) -> dict:
     return out
 
 
+def _by_form(obj, forms: dict[str, _Table], what: str):
+    """``obj`` read by the table of its first form key: other keys are refused."""
+    for key, table in forms.items():
+        if isinstance(obj, dict) and key in obj:
+            return table(obj)
+    raise ParameterError(f"cannot interpret {what} spec {obj!r}")
+
+
 # The lacunary series W(alpha, gamma, c), shared by the kinds that build one
 # and by the {"weierstrass": ...} symbol spec.
 _ALPHA = Param("alpha", parse_float, 0.5)
 _GAMMA = Param("gamma", parse_gamma, 2)
 _C = Param("c", rule_from_obj, "constant:1", flag="--coeffs", help="coefficient rule for c")
 _WEIERSTRASS_SPEC = _Table(
-    "weierstrass", _ALPHA, _GAMMA, _C, Param("cutoff", parse_int_expr),
+    "", _ALPHA, _GAMMA, _C, Param("cutoff", parse_int_expr),
     make=lambda cutoff, **w: weierstrass_symbol(WeierstrassParams(**w), cutoff),
 )
+_SYMBOL_FORMS = {
+    "modes": _Table("", Param("modes", list), make=lambda **obj: symbol_from_json_obj(obj)),
+    "power": _Table("", Param("power", parse_int_expr), make=lambda power: mode_symbol(power)),
+    "weierstrass": _Table(
+        "", Param("weierstrass", _WEIERSTRASS_SPEC), make=lambda weierstrass: weierstrass
+    ),
+}
+_Z_POWER = re.compile(r"^z\s*\^\s*(-?\d+)$")
 
 
 def symbol_from_obj(obj) -> FourierSymbol:
     """Symbol from interchange JSON, a power shorthand or a lacunary spec."""
     if isinstance(obj, FourierSymbol):
         return obj
-    if isinstance(obj, str):
-        match = re.match(r"^z\s*\^\s*(-?\d+)$", obj.strip())
-        if match:
-            return mode_symbol(int(match.group(1)))
-        raise ParameterError(f"cannot interpret symbol shorthand {obj!r}")
-    if isinstance(obj, dict):
-        if "modes" in obj:
-            return symbol_from_json_obj(obj)
-        if "power" in obj:
-            return mode_symbol(parse_int_expr(obj["power"]))
-        if "weierstrass" in obj:
-            return _WEIERSTRASS_SPEC(obj["weierstrass"])
-    raise ParameterError(f"cannot interpret symbol spec {obj!r}")
+    if isinstance(obj, str) and (match := _Z_POWER.match(obj.strip())):
+        return mode_symbol(int(match.group(1)))
+    return _by_form(obj, _SYMBOL_FORMS, "symbol")
 
 
 def symbol_from_arg(text: str) -> FourierSymbol:
@@ -298,37 +305,46 @@ def symbol_from_arg(text: str) -> FourierSymbol:
     stripped = text.strip()
     if stripped.startswith("{"):
         return symbol_from_obj(json.loads(stripped))
-    if re.match(r"^z\s*\^\s*-?\d+$", stripped):
+    if _Z_POWER.match(stripped):
         return symbol_from_obj(stripped)
     return symbol_from_obj(_read_json(stripped))
+
+
+_TWIST_FORMS = {
+    "matrix": _Table("", Param("matrix", lambda m: AntisymmetricForm(np.asarray(m, dtype=float)))),
+    "random": _Table("", Param("random", parse_int_expr), Param("scale", parse_float, 1.0)),
+}
 
 
 def _twist_from_obj(obj, rep: CliffordRep) -> AntisymmetricForm:
     if obj == "zero":
         return AntisymmetricForm.zero(rep.n)
-    if isinstance(obj, dict) and "matrix" in obj:
-        form = AntisymmetricForm(np.asarray(obj["matrix"], dtype=float))
-        if form.n != rep.n:
+    spec = _by_form(obj, _TWIST_FORMS, "twist form")
+    if "matrix" in spec:
+        if spec["matrix"].n != rep.n:
             raise ParameterError("twist form dimension does not match the representation")
-        return form
-    if isinstance(obj, dict) and "random" in obj:
-        rng = np.random.default_rng(int(obj["random"]))
-        scale = float(obj.get("scale", 1.0))
-        upper = np.triu(rng.standard_normal((rep.n, rep.n)), k=1) * scale
-        return AntisymmetricForm(upper - upper.T)
-    raise ParameterError(f"cannot interpret twist form spec {obj!r}")
+        return spec["matrix"]
+    rng = np.random.default_rng(spec["random"])
+    upper = np.triu(rng.standard_normal((rep.n, rep.n)), k=1) * spec["scale"]
+    return AntisymmetricForm(upper - upper.T)
+
+
+def _lattice_vector(vec) -> tuple[int, ...]:
+    """A lattice mode: a list of integers in any form ``parse_int_expr`` accepts."""
+    return tuple(parse_int_expr(c) for c in vec)
+
+
+_LATTICE_FORMS = {
+    "pair": _Table("", Param("pair", _lattice_vector), Param("amplitude", complex, 1.0)),
+    "modes": _Table("", Param("modes", lambda entries: _mode_coeffs(entries, _lattice_vector))),
+}
 
 
 def _lattice_symbol_from_obj(obj, n: int) -> LatticeSymbol:
-    if isinstance(obj, dict) and "pair" in obj:
-        return LatticeSymbol.symmetric_pair(obj["pair"], complex(obj.get("amplitude", 1.0)))
-    if isinstance(obj, dict) and "modes" in obj:
-        coeffs = {}
-        for entry in obj["modes"]:
-            vec, re_part, im_part = entry
-            coeffs[tuple(int(c) for c in vec)] = complex(float(re_part), float(im_part))
-        return LatticeSymbol(n, coeffs)
-    raise ParameterError(f"cannot interpret lattice symbol spec {obj!r}")
+    spec = _by_form(obj, _LATTICE_FORMS, "lattice symbol")
+    if "pair" in spec:
+        return LatticeSymbol.symmetric_pair(spec["pair"], spec["amplitude"])
+    return LatticeSymbol(n, spec["modes"])
 
 
 def _lattice_symbols_from_obj(objs, rep: CliffordRep) -> list[LatticeSymbol]:
@@ -384,19 +400,28 @@ def _check_cost(limits: Limits, cost) -> None:
             raise ResourceLimitError(f"{_short(amount)} {quantity} exceed {name} = {_short(limit)}")
 
 
+def _weierstrass_trace_params(**v) -> dict:
+    """The params, once alpha is 1/2, where the closed form is exact, and N gives
+    the 16 points the 1/log fit needs: each gamma^m in (1, N], and N itself."""
+    if v["alpha"] != 0.5:
+        raise ParameterError("WeierstrassTrace: alpha: the lacunary trace closed form is "
+                             f"exact only at alpha = 1/2; got alpha = {v['alpha']}")
+    powers = gamma_powers(v["gamma"], v["N"])
+    if (points := len(powers) - (powers[-1] == v["N"])) < 16:
+        raise ParameterError(f"WeierstrassTrace: N: {v['N']} gives {points} trace points "
+                             f"at gamma = {v['gamma']}; the 1/log fit needs 16")
+    return v
+
+
 @_kind(
     "WeierstrassTrace", "weierstrass-trace", "lacunary pair trace partial sums",
     _GAMMA, _ALPHA, _C,
     Param("d", rule_from_obj, lambda v: v["c"], flag="--d-coeffs",
           help="coefficient rule for d, default: the c rule"),
     Param("N", parse_int64_size, "2**40"),
+    make=_weierstrass_trace_params,
 )
 def _run_weierstrass_trace(*, gamma, alpha, c, d, N) -> Report:
-    if alpha != 0.5:
-        raise ParameterError(
-            "the lacunary trace closed form is exact only at alpha = 1/2; "
-            f"got alpha = {alpha}"
-        )
     seq = cf.weierstrass_trace(gamma, c, d, N)
     limit, slope = log_extrapolate(np.asarray(seq.values, dtype=float), seq.points)
     report = Report(kind="WeierstrassTrace")
@@ -463,20 +488,18 @@ def _run_measurability(*, N, policy, entries, label, gamma, c, d) -> Report:
     if entries is None:
         entries = [{"gamma": gamma, "c": c, "d": d, "label": label}]
     report = Report(kind="Measurability")
-    report.inputs = {"N": N, "policy": policy.__dict__.copy(), "entries": []}
+    report.inputs = {"N": N, "policy": asdict(policy), "entries": []}
     for entry in entries:
         label, gamma, c, d = (entry[key] for key in ("label", "gamma", "c", "d"))
         echo = {"label": label, "gamma": gamma, "c": _rule_json(c), "d": _rule_json(d)}
         report.inputs["entries"].append(echo)
         verdict = classify_limit(_cesaro_of_product(c, d, N + 1), policy)
-        report.scalars.append(
-            {
-                "expression": f"verdict[{label}]: Cesaro(c*d) behavior, "
-                "surrogate for limit-functional independence of "
-                "tr(P[P,W(1/2,gamma,c)][P,W(1/2,gamma,d)]) = -C(c*d)/log(gamma)",
-                "value": 0.0,
-                "verdict": verdict.to_json_obj(),
-            }
+        report.add_scalar(
+            f"verdict[{label}]: Cesaro(c*d) behavior, "
+            "surrogate for limit-functional independence of "
+            "tr(P[P,W(1/2,gamma,c)][P,W(1/2,gamma,d)]) = -C(c*d)/log(gamma)",
+            0.0,
+            verdict=verdict.to_json_obj(),
         )
     return report
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +74,12 @@ def _every_point(n_trunc: int) -> np.ndarray:
     return np.arange(2, n_trunc + 1, dtype=np.int64)
 
 
+def _partial_sums_at(levels, terms: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """At each point, the sum of the terms whose level (ascending) is at most it."""
+    sums = np.concatenate([np.zeros(1, terms.dtype), np.cumsum(terms)])
+    return sums[np.searchsorted(levels, points, side="right")]
+
+
 def fourier_side_trace(a: FourierSymbol, b: FourierSymbol, n_trunc: int) -> TraceSequence:
     """M -> (1/log M) * sum_{k=0}^{M} k a_k b_{-k} at every M = 2..N.
 
@@ -83,9 +88,7 @@ def fourier_side_trace(a: FourierSymbol, b: FourierSymbol, n_trunc: int) -> Trac
     pts = _every_point(n_trunc)
     ks = sorted(k for k in a.coeffs if k >= 1 and -k in b.coeffs and k <= n_trunc)
     terms = np.array([k * a.coeffs[k] * b.coeffs[-k] for k in ks], dtype=complex)
-    cums = np.concatenate([[0j], np.cumsum(terms)])
-    idx = np.searchsorted(ks, pts, side="right")
-    values = cums[idx] / np.log(pts.astype(float))
+    values = _partial_sums_at(ks, terms, pts) / np.log(pts.astype(float))
     return TraceSequence(pts, values, "tr(P a (1-P) b P)", "1/log(M)")
 
 
@@ -94,9 +97,7 @@ def symmetric_fourier_trace(a: FourierSymbol, b: FourierSymbol, n_trunc: int) ->
     pts = _every_point(n_trunc)
     ks = sorted({abs(k) for k in a.coeffs if -k in b.coeffs and 1 <= abs(k) <= n_trunc})
     terms = np.array([k * (a[k] * b[-k] + a[-k] * b[k]) for k in ks], dtype=complex)
-    cums = np.concatenate([[0j], np.cumsum(terms)])
-    idx = np.searchsorted(ks, pts, side="right")
-    values = -cums[idx] / np.log(pts.astype(float))
+    values = -_partial_sums_at(ks, terms, pts) / np.log(pts.astype(float))
     return TraceSequence(pts, values, "tr([P,a][P,b])", "1/log(M)")
 
 
@@ -114,17 +115,9 @@ def weierstrass_trace(
         raise ParameterError("truncation too small for one lacunary level")
     pts = powers[1:] if powers[-1] == n_trunc else [*powers[1:], n_trunc]
     pts = np.array(pts, dtype=np.int64)
-    cn = c.values(len(powers))
-    dn = d.values(len(powers))
-    level_sums = np.cumsum(cn * dn)
-    counts = np.array([bisect_right(powers, int(m)) for m in pts])
-    values = -level_sums[counts - 1] / np.log(pts.astype(float))
-    return TraceSequence(
-        pts,
-        values,
-        "tr(P[P,W(1/2,gamma,c)][P,W(1/2,gamma,d)])",
-        "1/log(M)",
-    )
+    terms = c.values(len(powers)) * d.values(len(powers))
+    values = -_partial_sums_at(powers, terms, pts) / np.log(pts.astype(float))
+    return TraceSequence(pts, values, "tr(P[P,W(1/2,gamma,c)][P,W(1/2,gamma,d)])", "1/log(M)")
 
 
 _HORNER_BLOCK_BYTES = 1 << 18  # coefficient rows broadcast to all lanes at once

@@ -17,7 +17,7 @@ oscillate on consecutive indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -149,16 +149,8 @@ class MeasurabilityVerdict:
         if self.kind is VerdictKind.CONVERGENT:
             obj["limit"] = self.limit
         if self.kind is VerdictKind.OSCILLATING:
-            obj["lower"] = self.lower
-            obj["upper"] = self.upper
-        obj["windows_used"] = self.windows_used
-        obj["policy"] = {
-            "window_count": self.policy.window_count,
-            "rel_gap": self.policy.rel_gap,
-            "abs_floor": self.policy.abs_floor,
-            "window_base": self.policy.window_base,
-        }
-        return obj
+            obj.update(lower=self.lower, upper=self.upper)
+        return {**obj, "windows_used": self.windows_used, "policy": asdict(self.policy)}
 
 
 def _window_bounds(length: int, base: int) -> list[tuple[int, int]]:

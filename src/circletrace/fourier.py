@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,14 +37,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FourierSymbol:
-    """Finitely supported Fourier coefficients, stored without zero entries.
-
-    ``real_valued`` is a construction-time promise that coeffs[-k] equals
-    conj(coeffs[k]) for every mode; it is validated eagerly.
-    """
+    """Finitely supported Fourier coefficients, stored without zero entries."""
 
     coeffs: dict[int, complex] = field(default_factory=dict)
-    real_valued: bool = False
 
     def __post_init__(self) -> None:
         cleaned: dict[int, complex] = {}
@@ -57,13 +52,6 @@ class FourierSymbol:
             if cv != 0:
                 cleaned[int(k)] = cv
         object.__setattr__(self, "coeffs", cleaned)
-        if self.real_valued:
-            for k, v in cleaned.items():
-                if cleaned.get(-k, 0j) != v.conjugate():
-                    raise ParameterError(
-                        "symbol flagged real-valued but coefficients are not "
-                        f"conjugate-symmetric at mode {k}"
-                    )
 
     @property
     def n_max(self) -> int:
@@ -75,10 +63,7 @@ class FourierSymbol:
 
     def pruned(self, tol: float) -> "FourierSymbol":
         """Drop coefficients with modulus <= tol."""
-        return FourierSymbol(
-            {k: v for k, v in self.coeffs.items() if abs(v) > tol},
-            real_valued=self.real_valued,
-        )
+        return FourierSymbol({k: v for k, v in self.coeffs.items() if abs(v) > tol})
 
     def restricted(self, band: int) -> "FourierSymbol":
         """Keep only modes with |k| <= band."""
@@ -86,7 +71,7 @@ class FourierSymbol:
 
 
 def constant_symbol(value: complex) -> FourierSymbol:
-    return FourierSymbol({0: value}, real_valued=complex(value).imag == 0.0)
+    return FourierSymbol({0: value})
 
 
 def mode_symbol(k: int, amplitude: complex = 1.0) -> FourierSymbol:
@@ -118,8 +103,9 @@ class CoefficientRule:
         if self.extension in ("constant", "periodic") and not self.head:
             raise ParameterError(f"extension {self.extension!r} needs a nonempty head")
         if self.extension == "block-indicator":
-            if self.base is None or int(self.base) < 2:
+            if self.base is None:
                 raise ParameterError("block-indicator rule needs an integer base >= 2")
+            gamma_powers(self.base, 0)  # refuses a base other than an integer >= 2
             object.__setattr__(self, "base", int(self.base))
         if any(not math.isfinite(x) for x in self.head):
             raise ParameterError("coefficient head must be finite")
@@ -178,8 +164,7 @@ class WeierstrassParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if int(self.gamma) < 2 or int(self.gamma) != self.gamma:
-            raise ParameterError(f"gamma must be an integer >= 2, got {self.gamma}")
+        gamma_powers(self.gamma, 0)  # refuses a base other than an integer >= 2
         object.__setattr__(self, "gamma", int(self.gamma))
 
 
@@ -207,7 +192,7 @@ def weierstrass_symbol(params: WeierstrassParams, k_cutoff: int) -> FourierSymbo
         if amp != 0.0:
             coeffs[power] = complex(amp)
             coeffs[-power] = complex(amp)
-    return FourierSymbol(coeffs, real_valued=True)
+    return FourierSymbol(coeffs)
 
 
 def symbol_eval(a: FourierSymbol, angles) -> np.ndarray:
@@ -259,15 +244,23 @@ def symbol_from_json_obj(obj: Mapping) -> FourierSymbol:
         entries = list(obj["modes"])
     except (KeyError, TypeError):
         raise ParameterError('symbol JSON must be an object with a "modes" list')
-    coeffs: dict[int, complex] = {}
+    return FourierSymbol(_mode_coeffs(entries, _integer_mode))
+
+
+def _integer_mode(k) -> int:
+    """``k`` as an int, where it is an integer (an integral float too) and not a bool."""
+    if isinstance(k, bool) or int(k) != k:
+        raise ValueError(k)
+    return int(k)
+
+
+def _mode_coeffs(entries, mode: Callable) -> dict:
+    """{mode(k): re + i*im} over the [k, re, im] entries; ``mode`` reads k."""
+    coeffs = {}
     for entry in entries:
         try:
             k, re, im = entry
-            mode = int(k)
-            value = complex(float(re), float(im))
-        except (TypeError, ValueError, OverflowError):
+            coeffs[mode(k)] = complex(float(re), float(im))
+        except (TypeError, ValueError, ArithmeticError):  # ParameterError too
             raise ParameterError(f"malformed mode entry {entry!r}; expected [k, re, im]")
-        if mode != k:
-            raise ParameterError(f"mode {k!r} is not an integer")
-        coeffs[mode] = value
-    return FourierSymbol(coeffs)
+    return coeffs

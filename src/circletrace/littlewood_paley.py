@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ParameterError
-from .fourier import FourierSymbol
+from .fourier import FourierSymbol, gamma_powers
 
 __all__ = [
     "INF",
@@ -58,8 +58,7 @@ def hat_weights(n: int, gamma: int, modes) -> np.ndarray:
     lo, mid, hi = gamma^(|n|-1), gamma^|n|, gamma^(|n|+1), are taken in int64
     and so equal the exact-integer quotients bit for bit while hi < 2^53.
     """
-    if gamma < 2:
-        raise ParameterError(f"gamma must be >= 2, got {gamma}")
+    gamma_powers(gamma, 0)  # refuses a base other than an integer >= 2
     k = np.asarray(modes, dtype=np.int64) * (-1 if n < 0 else 1)
     out = np.zeros(k.shape)
     if n == 0:
@@ -89,9 +88,7 @@ def _norm_levels(
     for k0 in (0, 1, -1):
         if (hit := modes == k0).any():
             yield 0, modes[hit], values[hit]
-    top = 1
-    while gamma ** (top - 1) < a.n_max:
-        top += 1
+    top = len(gamma_powers(gamma, a.n_max - 1)) + 1  # least top with gamma^(top-1) >= n_max
     for absn in range(1, top + 1):
         for n in (absn, -absn):
             weights = hat_weights(n, gamma, modes)
@@ -116,8 +113,7 @@ def besov_norm(a: FourierSymbol, t: float, p, q, gamma: int) -> float:
 
     The L^p norms are taken on a uniform grid of max(8 * n_max, 16) angles.
     """
-    if gamma < 2:
-        raise ParameterError(f"gamma must be >= 2, got {gamma}")
+    gamma_powers(gamma, 0)  # refuses a base other than an integer >= 2
     p = _normalize_exponent(p)
     q = _normalize_exponent(q)
     size = max(8 * max(a.n_max, 1), 16)

@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .closed_forms import TraceSequence
 from .errors import ParameterError
 
 __all__ = [
@@ -337,7 +338,7 @@ def torus_trace_partial(
     symbols: Sequence[LatticeSymbol],
     n_trunc: int,
     twist: AntisymmetricForm | None = None,
-):
+) -> TraceSequence:
     """Truncated double sum for tr(T [F,a_1] ... [F,a_k]) divided by log(2+N).
 
     For each reference mode in the lattice ball of radius N^(1/n) and each
@@ -352,8 +353,6 @@ def torus_trace_partial(
     phase-product stack per zero-sum tuple and block.  No size is checked
     here: the NcTorus kind bounds the support tuples and the ball's cube.
     """
-    from .closed_forms import TraceSequence  # local import avoids a cycle
-
     if not symbols:
         raise ParameterError("at least one symbol is required")
     for sym in symbols:

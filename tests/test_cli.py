@@ -654,6 +654,9 @@ def test_batch_document_must_be_object_or_list(doc, tmp_path, capsys):
     assert _stderr_line(capsys).startswith("parameter error: ")
 
 
+TORUS = {"N": 4, "symbols": [{"pair": [1, 0]}, {"pair": [0, 1]}]}
+
+
 @pytest.mark.parametrize(
     "kind, params, named",
     [
@@ -675,6 +678,25 @@ def test_batch_document_must_be_object_or_list(doc, tmp_path, capsys):
         ("KernelCheck", {"a": "z^1", "b": "z^-1", "N": 16, "r": False}, "r:"),
         ("Measurability", {"N": "4**7", "policy": {"rel_gap": True}}, "rel_gap:"),
         ("Measurability", {"N": "4**7", "policy": {"abs_floor": True}}, "abs_floor:"),
+        # nested specs read every key they are given: each of these once ran,
+        # dropping or coercing the part named
+        ("FourierTrace", {"a": {"power": 1, "amplitude": 5}, "b": "z^-1"},
+         "a: unknown parameter 'amplitude'"),
+        ("FourierTrace", {"a": {"modes": [[1, 1, 0]], "extra": 5}, "b": "z^-1"},
+         "a: unknown parameter 'extra'"),
+        ("FourierTrace", {"a": {"modes": [[True, 1, 0]]}, "b": "z^-1"}, "[True, 1, 0]"),
+        ("FourierTrace", {"a": {"modes": [[1, 1, 0]], "weierstrass": {"cutoff": 8}}, "b": "z^-1"},
+         "a: unknown parameter 'weierstrass'"),
+        ("NcTorus", {**TORUS, "theta": {"random": 7, "scal": 3}},
+         "theta: unknown parameter 'scal'"),
+        ("NcTorus", {**TORUS, "theta": {"random": 7.9}}, "theta: random: "),
+        ("NcTorus", {**TORUS, "theta": {"matrix": [[0, 1], [-1, 0]], "random": 3}},
+         "theta: unknown parameter 'random'"),
+        ("NcTorus", {**TORUS, "symbols": [{"pair": [1.7, 0]}]}, "symbols: pair: "),
+        ("NcTorus", {**TORUS, "symbols": [{"modes": [[[1.5, 0], 1, 0]]}]}, "[[1.5, 0], 1, 0]"),
+        ("NcTorus", {**TORUS, "symbols": [{"pair": [1, 0], "amplitud": 2}]},
+         "symbols: unknown parameter 'amplitud'"),
+        ("Measurability", {"N": "4**7", "c": "sqrt-log-cos:7"}, "c: unknown coefficient rule"),
     ],
 )
 def test_rejected_params_name_the_parameter(kind, params, named, tmp_path, capsys):
@@ -685,6 +707,35 @@ def test_rejected_params_name_the_parameter(kind, params, named, tmp_path, capsy
     assert line.startswith(f"parameter error: {kind}: ") and named in line
     with pytest.raises(ParameterError):
         run_experiment(ExperimentConfig(kind, params))
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["--alpha", "0.3"], "alpha: the lacunary trace closed form is exact only at alpha = 1/2; "
+                             "got alpha = 0.3"),
+        (["--N", "64"], "N: 64 gives 6 trace points at gamma = 2; the 1/log fit needs 16"),
+        (["--gamma", "3", "--N", "3**15"],
+         "N: 14348907 gives 15 trace points at gamma = 3; the 1/log fit needs 16"),
+    ],
+)
+def test_weierstrass_trace_refuses_alpha_and_n_before_the_runner(argv, line, capsys, monkeypatch):
+    kind = cli._KINDS["WeierstrassTrace"]
+
+    def runner_entered(**values):
+        raise AssertionError("the runner started on a refused config")
+
+    monkeypatch.setitem(cli._KINDS, "WeierstrassTrace", replace(kind, run=runner_entered))
+    assert main(["weierstrass-trace", *argv]) == 2
+    assert _stderr_line(capsys) == f"parameter error: WeierstrassTrace: {line}"
+
+
+def test_weierstrass_trace_points_check_is_the_fit_length():
+    # 16 points: gamma^1..gamma^15 and N itself; gamma^15 alone gives 15
+    for gamma in (2, 3, 5):
+        params = {"gamma": gamma, "N": gamma**15 + 1}
+        report = run_experiment(ExperimentConfig("WeierstrassTrace", params))
+        assert len(report.sequences[0]["points"]) == 16
 
 
 @pytest.mark.parametrize("max_tuples", [20, 63, 64])
@@ -763,7 +814,10 @@ SMALL = {
     "FourierTrace": {"a": "z^2", "b": {"power": -2}, "N": 16},
 }
 
-BAD_RULES = ["nonsense:1", "constant:abc", 5, [], {"hed": [1]}, {"head": [], "extension": "periodic"}]
+BAD_RULES = [
+    "nonsense:1", "constant:abc", 5, [], {"hed": [1]}, {"head": [], "extension": "periodic"},
+    "sqrt-log-cos:7", {"extension": "block-indicator", "base": 2.5},
+]
 BAD_SYMBOLS = [
     {"modes": [[1, "x", 0]]},
     {"modes": 5},
@@ -774,10 +828,17 @@ BAD_SYMBOLS = [
     "z^",
     7,
     {"nothing": 1},
+    {"power": 1, "amplitude": 5},
+    {"modes": [[1, 1, 0]], "extra": 5},
+    {"modes": [[True, 1, 0]]},
+    {"modes": [[1, 1, 0]], "weierstrass": {"cutoff": 8}},
 ]
 BAD_ENTRIES = [5, [7], [{"gama": 3}], [{"c": "nonsense:1"}]]
 BAD_POLICIES = [{"window_count": "x"}, {"windows": 3}, {"rel_gap": -1.0}, 5, {"window_count": 3.9}]
-BAD_TWISTS = [{"random": "x"}, {"matrix": "abc"}, {"matrix": [[0, 1], [1, 0]]}, {}, "one"]
+BAD_TWISTS = [
+    {"random": "x"}, {"matrix": "abc"}, {"matrix": [[0, 1], [1, 0]]}, {}, "one",
+    {"random": 7, "scal": 3}, {"random": 7.9}, {"matrix": [[0, 1], [-1, 0]], "random": 3},
+]
 BAD_LATTICE_SYMBOLS = [
     5,
     [{"pair": "ab"}],
@@ -785,6 +846,9 @@ BAD_LATTICE_SYMBOLS = [
     [{"modes": 5}],
     [{"modes": [[[1, 0], "x", 0]]}],
     [{}],
+    [{"pair": [1.7, 0]}],
+    [{"modes": [[[1.5, 0], 1, 0]]}],
+    [{"pair": [1, 0], "amplitud": 2}],
 ]
 # Malformed values of the nested specs, by parameter name.
 BAD_NESTED = {
@@ -1098,6 +1162,27 @@ def test_public_surface_is_what_something_needs():
 
 def _refuses(node) -> bool:
     return isinstance(node, ast.Raise) and "ResourceLimitError" in ast.unparse(node)
+
+
+def test_lacunary_bases_are_refused_and_scalars_appended_in_one_place():
+    refusers, appenders = [], set()
+    for path in sorted(Path(circletrace.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(inner, ast.Raise) and "gamma must be" in ast.unparse(inner)
+                for inner in ast.walk(node)
+            ):
+                refusers.append((path.name, node.name))
+            # a method call on something's .scalars: append, extend, insert
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "scalars"
+            ):
+                appenders.add(path.name)
+    assert refusers == [("fourier.py", "gamma_powers")]
+    assert appenders == {"report.py"}
 
 
 def test_resource_limits_are_read_and_refused_in_one_place():

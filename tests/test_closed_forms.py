@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from bisect import bisect_right
 
 from numpy.polynomial import polynomial as npoly
 
@@ -41,7 +42,7 @@ from circletrace.operators import commutator_matrix
 
 def cosine(k):
     """cos(k*theta): 1/2 at modes +-k."""
-    return FourierSymbol({k: 0.5, -k: 0.5}, real_valued=True)
+    return FourierSymbol({k: 0.5, -k: 0.5})
 
 
 def random_symbol(rng, degree):
@@ -191,6 +192,27 @@ class TestWeierstrassTrace:
         high = -float(seq.values[at[1]].real) * math.log(2**31) / 32
         assert low == pytest.approx(11.0 / 16.0, rel=1e-12)
         assert high == pytest.approx(11.0 / 32.0, rel=1e-12)
+
+    @pytest.mark.parametrize("gamma", [2, 3, 5])
+    def test_truncation_off_a_power_matches_a_bisect_oracle(self, gamma):
+        c = CoefficientRule.sqrt_log_cos()
+        d = CoefficientRule.from_head([1.0, -0.5, 2.0], extension="periodic")
+        n_trunc = gamma**9 + 7  # not a power of gamma, so N itself is the last point
+        seq = weierstrass_trace(gamma, c, d, n_trunc)
+        powers = [gamma**j for j in range(10)]
+        assert seq.points.tolist() == [*powers[1:], n_trunc]
+        level_sums = np.cumsum(c.values(10) * d.values(10))
+        counts = np.array([bisect_right(powers, m) for m in seq.points.tolist()])
+        expected = -level_sums[counts - 1] / np.log(seq.points.astype(float))
+        assert seq.values.tobytes() == expected.tobytes()
+
+
+def test_traces_of_symbols_without_a_common_mode_are_complex_zeros():
+    a, b = FourierSymbol({1: 1.0, 3: 2j, 0: 4.0}), FourierSymbol({-2: 1.0, 1: 3.0, 5: 1j})
+    for trace in (fourier_side_trace, symmetric_fourier_trace):
+        seq = trace(a, b, 16)
+        assert seq.values.dtype == complex and seq.values.size == 15
+        assert not np.any(seq.values)
 
 
 class TestSzegoSquareKernel:

@@ -124,12 +124,6 @@ def test_symbol_eval_examples():
     assert symbol_eval(w, [0.0])[0].real == pytest.approx(expected)
 
 
-def test_real_valued_flag_validation():
-    FourierSymbol({1: 1 + 2j, -1: 1 - 2j}, real_valued=True)
-    with pytest.raises(ParameterError):
-        FourierSymbol({1: 1 + 2j, -1: 1 + 2j}, real_valued=True)
-
-
 def test_zero_coefficients_are_pruned():
     a = FourierSymbol({0: 0.0, 3: 1.0, 5: 0j})
     assert sorted(a.coeffs) == [3]

@@ -280,6 +280,19 @@ def test_norms_reject_grids_whose_phase_indices_pass_int64():
         holder_norm_star(edge, 0.5, 2)
 
 
+@pytest.mark.parametrize("gamma", [2.5, True])
+def test_norms_and_hats_refuse_a_base_that_is_not_an_integer_from_two(gamma):
+    a = FourierSymbol({1: 1.0, 4: 0.5})
+    calls = [
+        lambda: besov_norm(a, 0.5, 2, 2, gamma),
+        lambda: holder_norm_star(a, 0.5, gamma),
+        lambda: hat_weights(1, gamma, [1, 2, 3]),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match=f"gamma must be an integer >= 2, got {gamma}"):
+            call()
+
+
 def test_besov_accepts_float_infinity():
     w = lacunary(0.5, 2, CoefficientRule.constant(1.0), 16)
     assert besov_norm(w, 0.5, float("inf"), INF, 2) == pytest.approx(
