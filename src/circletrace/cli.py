@@ -19,6 +19,7 @@ success, 2 invalid parameters, 3 resource rejection.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -189,6 +190,13 @@ def parse_float(value) -> float:
     return float(value)
 
 
+def parse_complex(value) -> complex:
+    """A number or its string form, never a bool."""
+    if isinstance(value, bool):
+        raise ParameterError(f"expected a number, got {value!r}")
+    return complex(value)
+
+
 def parse_gamma(text) -> int:
     """A lacunary base: an integer >= 2, in any form ``parse_int_expr`` accepts."""
     gamma = parse_int_expr(text)
@@ -335,7 +343,7 @@ def _lattice_vector(vec) -> tuple[int, ...]:
 
 
 _LATTICE_FORMS = {
-    "pair": _Table("", Param("pair", _lattice_vector), Param("amplitude", complex, 1.0)),
+    "pair": _Table("", Param("pair", _lattice_vector), Param("amplitude", parse_complex, 1.0)),
     "modes": _Table("", Param("modes", lambda entries: _mode_coeffs(entries, _lattice_vector))),
 }
 
@@ -785,6 +793,7 @@ def _add_flags(parser: argparse.ArgumentParser, table: _Table) -> None:
             )
 
 
+@functools.cache  # built once per process: parse_args leaves a parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circletrace",

@@ -269,37 +269,53 @@ def _as_floats(values, n_trunc: int, ms: list[int]) -> np.ndarray:
         ) from None
 
 
-_BINOMIAL_ROWS = 2048  # rows of exact integers alive at once
+_BINOMIAL_ROWS = 2048  # rows of exact Python ints alive at once
 
 
 def _fill_binomials(table: np.ndarray, n_trunc: int, ms: list[int]) -> None:
     """Column i = C(k+m_i-1, m_i-1) for k = 0..N, exact integers rounded once.
 
     By the hockey-stick identity order m is the running sum over k of order
-    m-1, starting from the ones of order 1: an object-dtype cumsum of Python
-    ints, taken over _BINOMIAL_ROWS rows at a time with one carry per order.
-    That is max(m) - 1 cumsums, so when N + 1 is below max(m) each entry is
-    one ``math.comb`` instead.
+    m-1, starting from the ones of order 1.  While the last entry
+    C(N+m-1, m-1) is below 2**63 that is an int64 cumsum, rounded by
+    ``astype(float)`` as a Python int would be; the orders above it carry on
+    from the last int64 column as an object-dtype cumsum of Python ints,
+    taken over _BINOMIAL_ROWS rows at a time with one carry per order.  That
+    is max(m) - 1 cumsums, so when N + 1 is below max(m) each entry is one
+    ``math.comb`` instead.
     """
     if n_trunc + 1 < max(ms):
         for i, mi in enumerate(ms):
             column = [math.comb(k + mi - 1, mi - 1) for k in range(n_trunc + 1)]
             table[:, i] = _as_floats(column, n_trunc, ms)
         return
+
+    def put(order: int, rows: slice, rounded: np.ndarray) -> None:
+        for i, mi in enumerate(ms):
+            if mi == order:
+                table[rows, i] = rounded
+
+    top = 1  # the last order whose entries all fit int64
+    while top < max(ms) and math.comb(n_trunc + top, top) < 2**63:
+        top += 1
+    column = np.ones(n_trunc + 1, dtype=np.int64)
+    for order in range(1, top + 1):
+        if order > 1:
+            column = np.cumsum(column)
+        if order in ms:
+            put(order, slice(None), column.astype(float))
+    if top == max(ms):
+        return
     carry = [0] * (max(ms) + 1)
     for start in range(0, n_trunc + 1, _BINOMIAL_ROWS):
         rows = slice(start, min(start + _BINOMIAL_ROWS, n_trunc + 1))
-        column = np.ones(rows.stop - start, dtype=object)
-        for order in range(1, max(ms) + 1):
-            if order > 1:
-                column[0] += carry[order]
-                column = np.cumsum(column)
-                carry[order] = column[-1]
+        block = column[rows].astype(object)
+        for order in range(top + 1, max(ms) + 1):
+            block[0] += carry[order]
+            block = np.cumsum(block)
+            carry[order] = block[-1]
             if order in ms:
-                rounded = _as_floats(column, n_trunc, ms)
-                for i, mi in enumerate(ms):
-                    if mi == order:
-                        table[rows, i] = rounded
+                put(order, rows, _as_floats(block, n_trunc, ms))
 
 
 def _fill_derivative_passes(table: np.ndarray, n_trunc: int, ms: list[int]) -> None:

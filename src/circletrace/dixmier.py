@@ -112,17 +112,15 @@ class ClassifyPolicy:
             raise ParameterError("policy needs at least two windows")
         if self.rel_gap <= 0 or self.abs_floor <= 0:
             raise ParameterError("rel_gap and abs_floor must be positive")
-        if self.window_base < 2:
-            raise ParameterError("window base must be >= 2")
+        gamma_powers(self.window_base, 0)  # refuses a base other than an integer >= 2
 
     def check_length(self, size: int) -> None:
         """Refuse a sequence of ``size`` terms, shorter than window_base **
         (window_count + 2); bit lengths settle a power far above ``size``
         without forming it."""
         need = self.window_count + 2
-        if need * (self.window_base.bit_length() - 1) >= size.bit_length() or (
-            size < self.window_base**need
-        ):
+        base = int(self.window_base)  # also an integral float or numpy int
+        if need * (base.bit_length() - 1) >= size.bit_length() or size < base**need:
             raise ParameterError(
                 f"sequence of length {size} is too short for "
                 f"{self.window_count} windows with base {self.window_base}"

@@ -255,11 +255,14 @@ def _integer_mode(k) -> int:
 
 
 def _mode_coeffs(entries, mode: Callable) -> dict:
-    """{mode(k): re + i*im} over the [k, re, im] entries; ``mode`` reads k."""
+    """{mode(k): re + i*im} over the [k, re, im] entries; ``mode`` reads k,
+    and re and im are numbers or their string forms, never booleans."""
     coeffs = {}
     for entry in entries:
         try:
             k, re, im = entry
+            if isinstance(re, bool) or isinstance(im, bool):
+                raise TypeError("a boolean is not a coefficient")
             coeffs[mode(k)] = complex(float(re), float(im))
         except (TypeError, ValueError, ArithmeticError):  # ParameterError too
             raise ParameterError(f"malformed mode entry {entry!r}; expected [k, re, im]")

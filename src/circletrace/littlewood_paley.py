@@ -98,6 +98,28 @@ def _norm_levels(
                 yield absn, modes[on][kept], coeffs[kept]
 
 
+def _mode_values(roots: np.ndarray, r: int, c: complex) -> np.ndarray:
+    """c * roots[j * r % G] for j < G / gcd(r, G), with G = len(roots): one
+    period of a mode's grid values.
+
+    Where r is g = gcd(r, G) the indices are 0, g, 2g, ..., and where r is
+    G - g they are 0, G - g, G - 2g, ..., g: strided reads of the table, with
+    no index arithmetic and no gather.  Every mode +-gamma^n of a lacunary
+    symbol, and the modes +-1, is one of these; other residues are gathered.
+    Each product is ``c * <new array>``, as for a gather, so numpy takes the
+    same loop and operand order however the roots are read: its complex
+    product may round differently with the operands swapped, and it swaps
+    them when it reuses a large temporary in place.
+    """
+    size = len(roots)
+    g = math.gcd(r, size)
+    if r == g:
+        return c * roots[::g].copy()
+    if r == size - g:
+        return c * np.concatenate([roots[:1], roots[size - g : 0 : -g]])
+    return c * roots[np.arange(size // g) * r % size]
+
+
 def holder_norm_star(a: FourierSymbol, alpha: float, gamma: int) -> float:
     """Grid estimate of sup_n gamma^(|n|*alpha) * max |block_n * a|.
 
@@ -124,19 +146,24 @@ def besov_norm(a: FourierSymbol, t: float, p, q, gamma: int) -> float:
     # size: no phase k * theta is rounded and no exponential is taken per mode.
     # Those indices repeat with period size / gcd(k mod size, size): each
     # product c * root is formed once per period and added, in mode order as
-    # on the whole grid, to every repeat within the piece's one period.  The
-    # finite-p mean tiles |v|^p back to the whole grid, the very array a
-    # full-grid mean sums, so np.mean keeps its pairwise order and its bits.
-    j = np.arange(size)
-    roots = np.exp(1j * (2.0 * np.pi * j / size))
+    # on the whole grid, to every repeat within the piece's one period; a
+    # one-mode piece is its one period of products.  The finite-p mean tiles
+    # |v|^p back to the whole grid, the very array a full-grid mean sums, so
+    # np.mean keeps its pairwise order and its bits.
+    roots = np.exp(1j * (2.0 * np.pi * np.arange(size) / size))
     per_level = []
     for absn, modes, coeffs in _norm_levels(a, gamma):
         residues = [k % size for k in modes.tolist()]
-        values = np.zeros(size // math.gcd(size, *residues), dtype=complex)
-        for r, c in zip(residues, coeffs.tolist()):
-            period = size // math.gcd(r, size)
-            repeats = values.reshape(-1, period)  # a view: one row per period
-            repeats += c * roots[j[:period] * r % size]
+        if len(residues) == 1:
+            # no zero fill and no add: that differs from 0 + c * root only
+            # where it gives +0.0 for -0.0, which |v| does not see
+            values = _mode_values(roots, residues[0], coeffs.tolist()[0])
+        else:
+            values = np.zeros(size // math.gcd(size, *residues), dtype=complex)
+            for r, c in zip(residues, coeffs.tolist()):
+                products = _mode_values(roots, r, c)
+                repeats = values.reshape(-1, len(products))  # a view: one row per period
+                repeats += products
         magnitudes = np.abs(values)
         if p == INF:
             norm = np.max(magnitudes)

@@ -255,6 +255,14 @@ def twist_phase(modes: ModeTuple, form: AntisymmetricForm) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
+def _lattice_mode(key) -> tuple[int, ...]:
+    """A lattice mode as a tuple of Python ints; a coordinate that is not an
+    int or numpy integer is refused, not truncated."""
+    if not all(isinstance(c, (int, np.integer)) for c in key):
+        raise ParameterError(f"mode {key!r} has a coordinate that is not an integer")
+    return tuple(int(c) for c in key)
+
+
 @dataclass(frozen=True)
 class LatticeSymbol:
     """Finitely supported coefficients on the integer lattice Z^n."""
@@ -265,7 +273,7 @@ class LatticeSymbol:
     def __post_init__(self) -> None:
         cleaned: dict[tuple[int, ...], complex] = {}
         for key, value in self.coeffs.items():
-            vec = tuple(int(c) for c in key)
+            vec = _lattice_mode(key)
             if len(vec) != self.dim:
                 raise ParameterError(f"mode {key!r} does not have dimension {self.dim}")
             cv = complex(value)
@@ -276,7 +284,7 @@ class LatticeSymbol:
     @classmethod
     def symmetric_pair(cls, vec: Sequence[int], amplitude: complex = 1.0) -> "LatticeSymbol":
         """Amplitude at +vec and -vec (a real combination for real amplitude)."""
-        v = tuple(int(c) for c in vec)
+        v = _lattice_mode(vec)
         neg = tuple(-c for c in v)
         return cls(len(v), {v: amplitude, neg: amplitude})
 

@@ -175,15 +175,21 @@ def _flat_pieces(items) -> list | None:
     return None
 
 
-def _exact_ints(column) -> bool:
-    """Whether ``column`` is a nonempty int array or list of only Python ints
-    (bools excluded) with every entry strictly within 2**53 of 0, so that
-    int64 holds it and it has at most 16 digits."""
+def _int_digits(column) -> tuple[bool, int] | None:
+    """(whether an entry is negative, digits of the largest |v|) of a nonempty
+    int array or list of only Python ints (bools excluded) with every entry
+    strictly within 2**53 of 0, so that int64 holds it and it has at most 16
+    digits; None for any other column."""
     if isinstance(column, np.ndarray):
         ints = column.dtype.kind in "iu"
     else:
         ints = set(map(type, column)) == {int}
-    return ints and len(column) > 0 and -(2**53) < np.min(column) and np.max(column) < 2**53
+    if not ints or len(column) == 0:
+        return None
+    lo, hi = int(np.min(column)), int(np.max(column))
+    if not -(2**53) < lo <= hi < 2**53:
+        return None
+    return lo < 0, len(str(max(-lo, hi)))
 
 
 # Below this many rows one % format string is faster: the numpy route costs
@@ -213,6 +219,7 @@ def _rows(pieces: list, sep: str, write) -> None:
             cells[j :: len(columns)] = column[:n] if isinstance(column, list) else column[:n].tolist()
         write((sep.join([row] * n) % tuple(cells)).encode())
         return
+    pieces = [_constant_text(p, n) for p in pieces]
     pieces = [
         p.encode().replace(b"\x00", b"\xff") if isinstance(p, str) else _cell_column(*p)
         for p in [*pieces, sep]
@@ -236,6 +243,22 @@ def _rows(pieces: list, sep: str, write) -> None:
         write(chunk if hi < n else chunk[: len(chunk) - len(pieces[-1])])
 
 
+def _constant_text(piece, n: int):
+    """A ``(format, column)`` piece whose column is a numpy array with its
+    first n entries all of one bit pattern, as the text each of those rows
+    prints; any other piece as it is.  Bits, not values, are compared, so
+    0.0 and -0.0 stay apart."""
+    if isinstance(piece, str) or not isinstance(piece[1], np.ndarray):
+        return piece
+    fmt, column = piece
+    if column.dtype.kind not in "biuf" or column.dtype.itemsize not in (1, 2, 4, 8):
+        return piece
+    bits = column[:n].view(f"u{column.dtype.itemsize}")
+    if bits[0] != bits[-1] or not (bits == bits[0]).all():
+        return piece
+    return fmt % column[:1].tolist()[0]
+
+
 def _cell_column(fmt: str, column) -> tuple:
     """(cell width, fill) for ``fmt % v`` of each v of a column; ``fill(out, lo,
     hi)`` writes the cells of rows [lo, hi) into a column-major byte matrix,
@@ -245,9 +268,10 @@ def _cell_column(fmt: str, column) -> tuple:
         return _FLOAT_WIDTH, lambda out, lo, hi: _float_cells(
             out, np.asarray(column[lo:hi], dtype=float)
         )
-    if _exact_ints(column):
-        return _INT_WIDTH, lambda out, lo, hi: _int_cells(
-            out, np.asarray(column[lo:hi], dtype=np.int64)
+    if (shape := _int_digits(column)) is not None:
+        negative, digits = shape
+        return negative + digits, lambda out, lo, hi: _int_cells(
+            out, np.asarray(column[lo:hi], dtype=np.int64), digits
         )
     items = column.tolist() if isinstance(column, np.ndarray) else column
     text = np.array([str(v).encode().replace(b"\x00", b"\xff") for v in items])
@@ -263,10 +287,10 @@ def _cell_column(fmt: str, column) -> tuple:
 # print are NUL.  A '%.17g' cell holds, in order: the sign; "0." and up to
 # three zeros (-4 <= E < 0); the 17 digits with the point after the one it
 # follows; "e", the exponent sign and three exponent digits.  An int cell
-# (|k| < 2**53) holds the sign and 16 digits, right-aligned.
+# (|k| < 2**53) holds a sign only where its column has a negative entry,
+# then as many digits as the column's largest |k| has, right-aligned.
 _FLOAT_WIDTH = 29
 _EXP = 24
-_INT_WIDTH = 17
 
 _GROUP_SCALES = (10**12, 10**8, 10**4, 1)  # 16 digits by four: after a float's lead, or an int's
 _GROUP_ENDS = (5, 9, 13, 17)  # one past the last digit of each group
@@ -400,17 +424,22 @@ def _float_cells(out: np.ndarray, x: np.ndarray) -> None:
         out[:24, slow] = _percent_cells(x[slow]).view(np.uint8).reshape(-1, 24).T
 
 
-def _int_cells(out: np.ndarray, k: np.ndarray) -> None:
-    """Write ``str(v)`` for each v of k, |v| < 2**53, into the columns of
-    ``out`` (_INT_WIDTH rows), NUL in front of the leading digit."""
-    _put(out[0], k < 0, ord("-"))
+def _int_cells(out: np.ndarray, k: np.ndarray, digits: int) -> None:
+    """Write ``str(v)`` for each v of k, |v| < 10**digits <= 10**16, into the
+    columns of ``out``: a sign row if ``out`` has one row more than
+    ``digits``, then the digits right-aligned, NUL in front of the leading
+    one.  Only the 4-digit groups the widest entry reaches are formed."""
+    if len(out) > digits:
+        _put(out[0], k < 0, ord("-"))
     a = np.abs(k)
-    groups = a // np.array(_GROUP_SCALES)[:, None] % 10**4
+    quads = -(-digits // 4)
+    groups = a // np.array(_GROUP_SCALES[4 - quads :])[:, None] % 10**4
     _, _, ascii_table, _ = _tables()
-    digits = ascii_table.take(groups).view(np.uint8).reshape(4, -1, 4).transpose(0, 2, 1)
-    # digit row r prints where |v| >= 10**(15 - r), and the last one always
-    shown = a >= np.array([10**p for p in range(15, 0, -1)] + [0])[:, None]
-    np.multiply(digits.reshape(16, -1), shown, out=out[1:])
+    quad_rows = ascii_table.take(groups).view(np.uint8).reshape(quads, -1, 4).transpose(0, 2, 1)
+    rows = quad_rows.reshape(4 * quads, -1)[4 * quads - digits :]
+    # digit row r prints where |v| >= 10**(digits - 1 - r), and the last one always
+    shown = a >= np.array([10**p for p in range(digits - 1, 0, -1)] + [0])[:, None]
+    np.multiply(rows, shown, out=out[len(out) - digits :])
 
 
 def _percent_cells(x: np.ndarray) -> np.ndarray:

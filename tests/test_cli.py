@@ -697,6 +697,11 @@ TORUS = {"N": 4, "symbols": [{"pair": [1, 0]}, {"pair": [0, 1]}]}
         ("NcTorus", {**TORUS, "symbols": [{"pair": [1, 0], "amplitud": 2}]},
          "symbols: unknown parameter 'amplitud'"),
         ("Measurability", {"N": "4**7", "c": "sqrt-log-cos:7"}, "c: unknown coefficient rule"),
+        ("NcTorus", {**TORUS, "symbols": [{"pair": [1, 0], "amplitude": True}]},
+         "symbols: amplitude: expected a number, got True"),
+        ("Measurability", {"N": "4**7", "policy": {"window_base": 1}},
+         "policy: gamma must be an integer >= 2, got 1"),
+        ("FourierTrace", {"a": {"modes": [[1, True, 0]]}, "b": "z^-1"}, "[1, True, 0]"),
     ],
 )
 def test_rejected_params_name_the_parameter(kind, params, named, tmp_path, capsys):
@@ -769,6 +774,23 @@ def test_unwritable_output_path_exits_2(argv, tmp_path, capsys):
     )
 
 
+def test_the_parser_is_built_once_per_process(tmp_path, capsys):
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps({"kind": "WeierstrassTrace", "params": {"gama": 3}}))
+    with pytest.raises(SystemExit):
+        main(["weierstrass-trace", "--help"])
+    first_help = capsys.readouterr().out
+    before = cli._build_parser.cache_info()
+    for _ in range(3):
+        assert main(["run", "--config", str(path)]) == 2
+    assert main(["weierstrass-trace", "--N", "2**20", "--out", str(tmp_path / "w.json")]) == 0
+    after = cli._build_parser.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 4)
+    with pytest.raises(SystemExit):
+        main(["weierstrass-trace", "--help"])
+    assert capsys.readouterr().out == first_help
+
+
 def test_help_lists_every_parameter_default(capsys):
     for kind in cli._KINDS.values():
         with pytest.raises(SystemExit):
@@ -832,6 +854,8 @@ BAD_SYMBOLS = [
     {"modes": [[1, 1, 0]], "extra": 5},
     {"modes": [[True, 1, 0]]},
     {"modes": [[1, 1, 0]], "weierstrass": {"cutoff": 8}},
+    {"modes": [[1, True, 0]]},
+    {"modes": [[1, 0.5, False]]},
 ]
 BAD_ENTRIES = [5, [7], [{"gama": 3}], [{"c": "nonsense:1"}]]
 BAD_POLICIES = [{"window_count": "x"}, {"windows": 3}, {"rel_gap": -1.0}, 5, {"window_count": 3.9}]
@@ -849,6 +873,8 @@ BAD_LATTICE_SYMBOLS = [
     [{"pair": [1.7, 0]}],
     [{"modes": [[[1.5, 0], 1, 0]]}],
     [{"pair": [1, 0], "amplitud": 2}],
+    [{"pair": [1, 0], "amplitude": True}],
+    [{"modes": [[[1, 0], True, 0]]}],
 ]
 # Malformed values of the nested specs, by parameter name.
 BAD_NESTED = {
@@ -1059,10 +1085,18 @@ BENCH_SIZE_BODIES = {
             ("csv", "4305db8383f6e25accbf734ab9e3318e6ba3b42c3510a34253f211f5a65c560c"),
         ]
     },
-    "fourier-symmetric-lacunary-2^16.json": (
-        "FourierTrace", {"a": LACUNARY_2_16, "b": LACUNARY_2_16, "N": 2**16, "symmetric": True},
-        "json", False, "c5eb5b0e9f19f74c924254985219a70e2a02571661662d10efa5336d13938f2b",
-    ),
+    **{
+        f"fourier-symmetric-lacunary-2^16.{fmt}": (
+            "FourierTrace",
+            {"a": LACUNARY_2_16, "b": LACUNARY_2_16, "N": 2**16, "symmetric": True},
+            fmt, False, digest,
+        )
+        for fmt, digest in [
+            ("json", "c5eb5b0e9f19f74c924254985219a70e2a02571661662d10efa5336d13938f2b"),
+            # its constant imaginary column sits inside each CSV row
+            ("csv", "8d1bdcb55f29894ea3df9f22147545a81d51a21f9c8aedf82949ce329d5f53a1"),
+        ]
+    },
 }
 
 

@@ -462,6 +462,25 @@ class TestSphereKernel:
         assert same_bits(table, np.array(oracle))
         assert same_bits(sphere_kernel(0.5, n, m), comb_polyval_kernel(0.5, n, m))
 
+    @pytest.mark.parametrize("n, ms, python_orders", [
+        (351, [1, 10, 11, 12, 14], 2), (352, [1, 10, 11, 12, 14], 3),
+        (16170, [1, 6, 7], 1), (16171, [6, 1, 7], 2),
+    ])
+    def test_binomials_match_math_comb_either_side_of_the_int64_boundary(
+        self, n, ms, python_orders, monkeypatch
+    ):
+        # C(N+10, 10) first reaches 2**63 at N = 352 and C(N+5, 5) at N = 16171:
+        # order 11 or 6 is the last int64 order below those N and the first
+        # order of Python ints from them on, carried on from the int64 column
+        rounded = []
+        as_floats = cf._as_floats
+        monkeypatch.setattr(cf, "_as_floats", lambda *args: rounded.append(1) or as_floats(*args))
+        table = np.empty((n + 1, len(ms)))
+        cf._fill_binomials(table, n, ms)
+        oracle = [[float(math.comb(k + mi - 1, mi - 1)) for mi in ms] for k in range(n + 1)]
+        assert same_bits(table, np.array(oracle))
+        assert len(rounded) == python_orders * -(-(n + 1) // cf._BINOMIAL_ROWS)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             sphere_kernel(0.5, 4, 0)

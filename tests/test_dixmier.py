@@ -287,6 +287,23 @@ def test_policy_length_check_forms_no_power_far_above_the_size():
         ClassifyPolicy(window_count=10**12).check_length(2**62)
 
 
+@pytest.mark.parametrize("base", [2.5, 1, 0, True, -3])
+def test_policy_refuses_a_window_base_that_is_not_an_integer_from_two(base):
+    with pytest.raises(ParameterError, match=f"integer >= 2, got {base}"):
+        ClassifyPolicy(window_base=base)
+
+
+@pytest.mark.parametrize("base", [3.0, np.int64(3)])
+def test_policy_takes_an_integral_window_base_of_any_type(base):
+    x = 1.0 + 1.0 / np.sqrt(np.arange(3**12) + 1.0)
+    verdict = classify_limit(x, ClassifyPolicy(window_base=base))
+    expected = classify_limit(x, ClassifyPolicy(window_base=3))
+    assert verdict.kind is expected.kind is VerdictKind.CONVERGENT
+    assert (verdict.limit, verdict.windows_used) == (expected.limit, expected.windows_used)
+    with pytest.raises(ParameterError, match="too short"):
+        ClassifyPolicy(window_base=base).check_length(3**7 - 1)
+
+
 def test_classifier_gamma_adic_option():
     n = 3**12
     x = 1.0 + 1.0 / np.sqrt(np.arange(n) + 1.0)

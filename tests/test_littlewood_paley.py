@@ -15,6 +15,7 @@ from circletrace.fourier import (
 from circletrace.littlewood_paley import (
     INF,
     _norm_levels,
+    _mode_values,
     besov_norm,
     hat_weights,
     holder_norm_star,
@@ -325,3 +326,36 @@ def test_besov_22_generic_symbol_stays_comparable():
     direct = math.sqrt(sum((abs(k) ** t * abs(v)) ** 2 for k, v in a.coeffs.items()))
     ratio = besov_norm(a, t, 2, 2, 2) / direct
     assert 0.5 < ratio < 2.0
+
+
+@pytest.mark.parametrize(
+    "gamma, size", [(2, 2**13), (2, 2**17), (3, 8 * 3**6), (5, 8 * 5**4), (2, 360)]
+)
+def test_mode_values_pieces_equal_the_gather_bit_for_bit(gamma, size):
+    # r = g = gcd(r, G) reads roots[::g], r = G - g reads roots[0] and then
+    # roots[G-g], roots[G-2g], ..., and any other residue is gathered; the
+    # oracle is the gathered product a piece of several modes adds, pieces of
+    # 2^14 entries and more included, which numpy multiplies in place
+    rng = np.random.default_rng(gamma * size)
+    roots = np.exp(1j * (2.0 * np.pi * np.arange(size) / size))
+    levels = [gamma**n for n in range(12) if gamma**n < size]
+    residues = {0, 7, 6 * 7, size // 2, size - 1, size - 6, *levels, *(size - k for k in levels)}
+    kinds = set()
+    for r in sorted(residues):
+        g = math.gcd(r, size)
+        kinds.add("r = g" if r == g else "r = G - g" if r == size - g else "gathered")
+        for c in (complex(*rng.standard_normal(2)), -0.75 + 0j, complex(0.0, -1.0)):
+            values = _mode_values(roots, r, c)
+            gathered = c * roots[np.arange(size // g) * r % size]
+            assert values.view(np.uint64).tolist() == gathered.view(np.uint64).tolist()
+    assert kinds == {"r = g", "r = G - g", "gathered"}
+
+
+def test_mode_values_symbols_equal_the_full_grid_gather():
+    # single complex modes, one per residue kind, on a grid of 2^17 and of 360
+    for modes, band in (((1, -1, 2**14, -(2**13), 3 * 2**12, 5), 2**14), ((1, -3, 44, 45), 45)):
+        for k in modes:
+            a = FourierSymbol({k: complex(0.6, -0.8), band: 0.25})
+            levels = gathered_lp_norms(a, 2, max(8 * band, 16))
+            for p, q in ((INF, INF), (2, 2), (1, INF)):
+                assert besov_norm(a, 0.5, p, q, 2) == gathered_besov(levels, 0.5, p, q, 2)

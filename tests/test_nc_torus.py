@@ -203,6 +203,17 @@ def test_torus_trace_zero_symbols():
     assert not np.any(seq.values)
 
 
+def test_lattice_modes_refuse_a_coordinate_that_is_not_an_integer():
+    for bad in ((1.5, 0), (1.0, 0), ("1", 0)):
+        with pytest.raises(ParameterError, match="not an integer"):
+            LatticeSymbol(2, {bad: 1.0})
+        with pytest.raises(ParameterError, match="not an integer"):
+            LatticeSymbol.symmetric_pair(bad)
+    sym = LatticeSymbol(2, {(np.int64(1), 0): 2.0})
+    assert sym.coeffs == {(1, 0): 2.0} and type(next(iter(sym.coeffs))[0]) is int
+    assert LatticeSymbol.symmetric_pair([np.int32(0), 2]).support() == [(0, -2), (0, 2)]
+
+
 def test_torus_trace_one_dimensional_single_commutator_vanishes():
     rep = clifford_rep(1)
     sym = LatticeSymbol.symmetric_pair((3,), 1.0)

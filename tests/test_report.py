@@ -300,3 +300,118 @@ def test_fourier_trace_json_emit_holds_little_beside_its_output():
         tracemalloc.stop()
     assert len(text) > 7_000_000
     assert peak < len(text) + 2_000_000
+
+
+def percent_route(pieces: list, sep: str) -> bytes:
+    """What ``_rows`` writes, one ``%`` format per cell and row, whatever the
+    row count: the route it takes below _VECTOR_MIN rows."""
+    columns = [p[1] for p in pieces if not isinstance(p, str)]
+    n = min(map(len, columns))
+    cells = [c if isinstance(c, list) else c.tolist() for c in columns]
+    rows = []
+    for i in range(n):
+        values = iter(column[i] for column in cells)
+        rows.append("".join(p if isinstance(p, str) else p[0] % next(values) for p in pieces))
+    return sep.join(rows).encode()
+
+
+def vector_route(pieces: list, sep: str) -> bytes:
+    chunks = []
+    _rows(pieces, sep, chunks.append)
+    return b"".join(chunks)
+
+
+N_FOLD = 2 * _BLOCK + 3  # more than one block of rows
+RAMP = np.arange(N_FOLD) / 7 - 300.0  # a float column that does not fold
+# (column, whether it prints one text), each beside RAMP as a JSON complex row
+FOLD_COLUMNS = [
+    (np.full(N_FOLD, -0.0), True),
+    (np.zeros(N_FOLD), True),
+    (np.full(N_FOLD, 2.5, dtype=np.float32), True),
+    (np.full(N_FOLD, 1e-300), True),
+    (np.resize([0.0, -0.0], N_FOLD), False),  # equal values, two bit patterns
+    (np.concatenate([np.full(N_FOLD - 1, -0.0), [0.0]]), False),  # only its last entry differs
+    (np.concatenate([[0.0], np.full(N_FOLD - 1, -0.0)]), False),  # only its first entry differs
+    (np.full(_VECTOR_MIN - 1, -0.0), True),  # below _VECTOR_MIN: the % route
+    (np.concatenate([np.full(N_FOLD, -0.0), [1.0, 0.0]]), True),  # longer than the rows
+]
+
+
+@pytest.mark.parametrize("column, folds", FOLD_COLUMNS, ids=range(len(FOLD_COLUMNS)))
+def test_constant_columns_print_the_bytes_of_the_percent_route(column, folds, monkeypatch):
+    cells = []
+    cell_column = report_module._cell_column
+    monkeypatch.setattr(
+        report_module, "_cell_column", lambda fmt, col: cells.append(col) or cell_column(fmt, col)
+    )
+    pieces = ["[", ("%.17g", RAMP), ", ", ("%.17g", column), "]"]
+    assert vector_route(pieces, ", ") == percent_route(pieces, ", ")
+    csv = ["s,", ("%s", np.arange(N_FOLD)), ",", ("%.17g", column), ",", ("%.17g", RAMP), "\n"]
+    assert vector_route(csv, "") == percent_route(csv, "")
+    if min(len(column), N_FOLD) >= _VECTOR_MIN:
+        assert any(c is column for c in cells) != folds
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        np.full(N_FOLD, 7),
+        np.full(N_FOLD, -(2**53 - 1)),
+        np.full(N_FOLD, 3, dtype=np.uint8),
+        np.full(N_FOLD, 2**60),  # beyond 2**53: str of each entry
+        np.full(N_FOLD, 2.5),  # float points print as str in CSV
+        np.full(N_FOLD, True),
+    ],
+    ids=["int64", "negative", "uint8", "huge", "float", "bool"],
+)
+def test_constant_point_columns_print_str_of_their_entry(column, monkeypatch):
+    monkeypatch.setattr(report_module, "_cell_column", None)  # every column folds
+    pieces = ["s,", ("%s", column), ",", ("%.17g", np.zeros(N_FOLD)), "\n"]
+    assert vector_route(pieces, "") == percent_route(pieces, "")
+
+
+def test_a_symmetric_lacunary_trace_row_is_as_wide_as_it_prints():
+    """Points 2..2^16 and an imaginary part of all +0.0: a JSON row of the
+    byte matrix holds 36 bytes of values and 7 of points, not 64 and 19."""
+    from circletrace.cli import ExperimentConfig, run_experiment
+
+    lacunary = {"weierstrass": {"alpha": 0.5, "gamma": 2, "c": "constant:1", "cutoff": 2**16}}
+    params = {"a": lacunary, "b": lacunary, "N": 2**16, "symmetric": True}
+    report = run_experiment(ExperimentConfig("FourierTrace", params))
+    points, values = report.sequences[0]["points"], report.sequences[0]["values"]
+    assert points.tolist() == list(range(2, 2**16 + 1))
+    re, im = report_module._parts(values)
+    assert report_module._constant_text(("%.17g", im), len(im)) == "0"
+    assert report_module._constant_text(("%.17g", re), len(re)) == ("%.17g", re)
+    float_width = report_module._cell_column("%.17g", re)[0]
+    assert len("[") + float_width + len(", 0]") + len(", ") == 36
+    assert report_module._cell_column("%s", points)[0] + len(", ") == 7
+    assert emit_report(report, "json") == emit_report(list_backed(report), "json")
+
+
+def _int_column(top: int, negative: bool = False) -> np.ndarray:
+    """N_FOLD ints from 0 (or -1) to ``top`` (or -top), not all equal."""
+    column = np.linspace(0, top, N_FOLD).astype(np.int64)
+    column[-1] = top
+    return -column - 1 if negative else column
+
+
+INT_WIDTH_COLUMNS = [
+    *((_int_column(10**k), k + 1) for k in range(16)),
+    *((_int_column(10**k - 1), k) for k in range(1, 16)),
+    (_int_column(2**53 - 1), 16),
+    (_int_column(10**5 - 2, negative=True), 6),  # all negative: -1 .. -(10**5 - 1)
+    (_int_column(2**53 - 2, negative=True), 17),
+    (np.resize([-1, 0], N_FOLD), 2),
+    (_int_column(10**4).astype(np.uint16), 5),
+]
+
+
+@pytest.mark.parametrize("column, width", INT_WIDTH_COLUMNS, ids=range(len(INT_WIDTH_COLUMNS)))
+def test_int_columns_are_as_wide_as_their_widest_entry(column, width):
+    assert report_module._cell_column("%s", column)[0] == width
+    for items in (column, column.tolist()):
+        assert report_module._cell_column("%s", items)[0] == width
+        pieces = [("%s", items), ",", ("%.17g", RAMP), "\n"]
+        assert vector_route(pieces, "") == percent_route(pieces, "")
+        assert written(items) == "[" + ", ".join(map(str, column.tolist())) + "]"
