@@ -52,7 +52,7 @@ from .nc_torus import (
     _iroot,
     grading_dirac_coefficients,
     identity_coefficients,
-    torus_trace_partial,
+    _torus_trace_partials,
 )
 from .operators import dense_commutator, hankel_matrix, operator_to_json_obj
 from .report import Report, emit_report
@@ -659,8 +659,7 @@ def _t_map_name(name, rep: CliffordRep) -> str:
 )
 def _run_nctorus(*, n: CliffordRep, N, T, theta, symbols) -> Report:
     t_map = _T_MAPS[T](n)
-    seq = torus_trace_partial(n, t_map, symbols, N, theta)
-    control = torus_trace_partial(n, t_map, symbols, N, None)
+    seq, control = _torus_trace_partials(n, t_map, symbols, N, [theta, None])
     report = Report(kind="NcTorus")
     report.inputs = {"n": n.n, "N": N, "T": T, "k": len(symbols)}
     report.add_sequence("partial_sums", seq.expression, seq.normalization, seq.points, seq.values)

@@ -243,10 +243,13 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _sphere_orders(n_trunc: int, m) -> list[int]:
-    ms = np.atleast_1d(np.asarray(m, dtype=np.int64))
-    if ms.ndim != 1 or ms.size == 0 or ms.min() < 1 or n_trunc < 0:
-        raise ParameterError("sphere kernel needs m >= 1 and N >= 0")
-    return ms.tolist()
+    orders = np.atleast_1d(np.asarray(m))
+    integral = orders.dtype.kind in "iu" or (
+        orders.dtype.kind == "f" and np.isfinite(orders).all() and (orders == np.floor(orders)).all()
+    )
+    if not integral or orders.ndim != 1 or orders.size == 0 or orders.min() < 1 or n_trunc < 0:
+        raise ParameterError(f"sphere kernel needs integer orders m >= 1 and N >= 0, got m = {m!r}")
+    return orders.astype(np.int64).tolist()
 
 
 def _derivative_scales(n_trunc: int, ms: list[int]) -> np.ndarray:
@@ -280,15 +283,8 @@ def _fill_binomials(table: np.ndarray, n_trunc: int, ms: list[int]) -> None:
     C(N+m-1, m-1) is below 2**63 that is an int64 cumsum, rounded by
     ``astype(float)`` as a Python int would be; the orders above it carry on
     from the last int64 column as an object-dtype cumsum of Python ints,
-    taken over _BINOMIAL_ROWS rows at a time with one carry per order.  That
-    is max(m) - 1 cumsums, so when N + 1 is below max(m) each entry is one
-    ``math.comb`` instead.
+    taken over _BINOMIAL_ROWS rows at a time with one carry per order.
     """
-    if n_trunc + 1 < max(ms):
-        for i, mi in enumerate(ms):
-            column = [math.comb(k + mi - 1, mi - 1) for k in range(n_trunc + 1)]
-            table[:, i] = _as_floats(column, n_trunc, ms)
-        return
 
     def put(order: int, rows: slice, rounded: np.ndarray) -> None:
         for i, mi in enumerate(ms):

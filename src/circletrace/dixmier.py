@@ -108,8 +108,10 @@ class ClassifyPolicy:
     window_base: int = 2  # dyadic by default; gamma-adic probing is opt-in
 
     def __post_init__(self) -> None:
-        if self.window_count < 2:
-            raise ParameterError("policy needs at least two windows")
+        count = int(self.window_count)
+        if count != self.window_count or count < 2:
+            raise ParameterError(f"window_count must be an integer >= 2, got {self.window_count}")
+        object.__setattr__(self, "window_count", count)  # it slices the window means
         if self.rel_gap <= 0 or self.abs_floor <= 0:
             raise ParameterError("rel_gap and abs_floor must be positive")
         gamma_powers(self.window_base, 0)  # refuses a base other than an integer >= 2

@@ -44,7 +44,7 @@ class FourierSymbol:
     def __post_init__(self) -> None:
         cleaned: dict[int, complex] = {}
         for k, v in self.coeffs.items():
-            if not isinstance(k, (int, np.integer)):
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
                 raise ParameterError(f"mode index {k!r} is not an integer")
             cv = complex(v)
             if not (math.isfinite(cv.real) and math.isfinite(cv.imag)):

@@ -256,9 +256,9 @@ def twist_phase(modes: ModeTuple, form: AntisymmetricForm) -> complex:
 
 
 def _lattice_mode(key) -> tuple[int, ...]:
-    """A lattice mode as a tuple of Python ints; a coordinate that is not an
-    int or numpy integer is refused, not truncated."""
-    if not all(isinstance(c, (int, np.integer)) for c in key):
+    """A lattice mode as a tuple of Python ints; a coordinate that is a bool,
+    or not an int or numpy integer, is refused, not truncated."""
+    if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in key):
         raise ParameterError(f"mode {key!r} has a coordinate that is not an integer")
     return tuple(int(c) for c in key)
 
@@ -325,8 +325,9 @@ def lattice_ball(n: int, n_trunc: int) -> np.ndarray:
     The test |k|^2 <= q_max, q_max the integer n-th root of n_trunc^2, is
     the exact integer comparison (|k|^2)^n <= n_trunc^2.
     """
-    if n_trunc < 1:
-        raise ParameterError("truncation must be >= 1")
+    if isinstance(n_trunc, bool) or not isinstance(n_trunc, (int, np.integer)) or n_trunc < 1:
+        raise ParameterError(f"truncation must be an integer >= 1, got {n_trunc!r}")
+    n_trunc = int(n_trunc)
     radius = _iroot(n_trunc, n)
     squares = np.square(np.arange(-radius, radius + 1, dtype=np.int64))
     q = sum(squares.reshape((-1,) + (1,) * (n - 1 - i)) for i in range(n))
@@ -361,13 +362,26 @@ def torus_trace_partial(
     phase-product stack per zero-sum tuple and block.  No size is checked
     here: the NcTorus kind bounds the support tuples and the ball's cube.
     """
+    return _torus_trace_partials(rep, t_coefficients, symbols, n_trunc, [twist])[0]
+
+
+def _torus_trace_partials(
+    rep: CliffordRep,
+    t_coefficients: Callable[[np.ndarray], np.ndarray],
+    symbols: Sequence[LatticeSymbol],
+    n_trunc: int,
+    twists: Sequence[AntisymmetricForm | None],
+) -> list[TraceSequence]:
+    """``torus_trace_partial`` for each twist of ``twists``, bit for bit, from
+    one walk of the ball: the twist enters only as one weight per zero-sum
+    tuple, so each tuple's spinor traces are formed once per block."""
     if not symbols:
         raise ParameterError("at least one symbol is required")
     for sym in symbols:
         if sym.dim != rep.n:
             raise ParameterError("symbol dimension does not match the representation")
-    form = twist if twist is not None else AntisymmetricForm.zero(rep.n)
-    if form.n != rep.n:
+    forms = [twist if twist is not None else AntisymmetricForm.zero(rep.n) for twist in twists]
+    if any(form.n != rep.n for form in forms):
         raise ParameterError("twist form dimension does not match the representation")
 
     supports = [sym.support() for sym in symbols]
@@ -380,23 +394,25 @@ def torus_trace_partial(
             coeff = 1.0 + 0j
             for sym, v in zip(symbols, combo):
                 coeff *= sym.coeffs[v]
-            weighted.append((combo, coeff * twist_phase(ModeTuple(combo, origin), form)))
+            at_origin = ModeTuple(combo, origin)
+            weighted.append((combo, [coeff * twist_phase(at_origin, form) for form in forms]))
 
     ball = lattice_ball(rep.n, n_trunc)
-    contributions = np.zeros(len(ball), dtype=complex)
+    sums = np.zeros((len(forms), len(ball)), dtype=complex)
     block = max(1, _BLOCK_ENTRIES // rep.dim_s**2)
     for start in range(0, len(ball), block):
         k_last = ball[start : start + block]
         t_matrices = t_coefficients(k_last)
-        acc = contributions[start : start + block]
-        for combo, weight in weighted:
+        for combo, weights in weighted:
             product = phase_product_matrix(rep, ModeTuple(combo, k_last))
-            acc += weight * np.einsum("bij,bji->b", t_matrices, product)
+            trace = np.einsum("bij,bji->b", t_matrices, product)
+            for acc, weight in zip(sums[:, start : start + block], weights):
+                acc += weight * trace
 
     # N's ball is the leading run of points with (|k|^2)^n <= N^2; both sides
     # stay below the candidate count squared, far inside int64
     points = np.arange(1, n_trunc + 1, dtype=np.int64)
     norms = np.sum(ball * ball, axis=1) ** rep.n
     reach = np.searchsorted(norms, points * points, side="right")
-    values = np.cumsum(contributions, out=contributions)[reach - 1] / np.log(2.0 + points)
-    return TraceSequence(points, values, "tr(T [F,a_1]...[F,a_k])", "1/log(2+N)")
+    values = np.cumsum(sums, axis=1, out=sums)[:, reach - 1] / np.log(2.0 + points)
+    return [TraceSequence(points, v, "tr(T [F,a_1]...[F,a_k])", "1/log(2+N)") for v in values]

@@ -129,12 +129,8 @@ class TruncatedOperator:
                 f"matrix shape {block.shape} does not match the {(rows.size, cols.size)} "
                 "rows and columns it covers"
             )
-        # min and max carry any nan and reach any inf, with no entry-sized mask;
-        # a contiguous block is read as one run of its real and imaginary parts
-        if block.flags.forc:
-            parts = (block.ravel(order="K").view(float),)
-        else:
-            parts = (block.real, block.imag) if dtype is complex else (block,)
+        # min and max carry any nan and reach any inf, with no entry-sized mask
+        parts = (block.real, block.imag) if dtype is complex else (block,)
         if block.size and not np.isfinite([f(p) for p in parts for f in (np.min, np.max)]).all():
             raise ParameterError("operator entries must be finite")
         block.setflags(write=False)

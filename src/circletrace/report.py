@@ -108,18 +108,7 @@ def _write_json(obj, write) -> None:
     elif obj is False:
         write(b"false")
     elif isinstance(obj, str):
-        text = ['"']
-        for ch in obj:
-            if ch in '"\\':
-                text.append("\\" + ch)
-            elif ch == "\n":
-                text.append("\\n")
-            elif ord(ch) < 0x20:
-                text.append(f"\\u{ord(ch):04x}")
-            else:
-                text.append(ch)
-        text.append('"')
-        write("".join(text).encode())
+        write(f'"{obj.translate(_ESCAPES)}"'.encode())
     elif isinstance(obj, (int, np.integer)):
         write(str(int(obj)).encode())
     elif isinstance(obj, (float, np.floating)):
@@ -136,7 +125,7 @@ def _write_json(obj, write) -> None:
             write(b": ")
             _write_json(value, write)
         write(b"}")
-    elif isinstance(obj, (list, np.ndarray)) and (pieces := _flat_pieces(obj)) is not None:
+    elif isinstance(obj, np.ndarray) and (pieces := _flat_pieces(obj)) is not None:
         write(b"[")
         _rows(pieces, ", ", write)
         write(b"]")
@@ -153,49 +142,42 @@ def _write_json(obj, write) -> None:
         raise ParameterError(f"cannot serialize value of type {type(obj).__name__}")
 
 
-_KINDS = {"i": int, "u": int, "f": float, "c": complex}  # numpy dtype kinds
+# JSON string escapes: the quote, the backslash, \n, and every other control
+# character as \u00XX
+_ESCAPES = {
+    **{c: f"\\u{c:04x}" for c in range(0x20)},
+    ord('"'): '\\"',
+    ord("\\"): "\\\\",
+    ord("\n"): "\\n",
+}
 
 
-def _flat_pieces(items) -> list | None:
-    """The row pieces (see ``_rows``) of a 1-d int, float or complex array, or
-    of a list of only exact ints, only exact floats or only exact complex
-    values (bools and numpy scalars excluded); None for other arrays, which
-    go as their ``tolist``, and other lists, which go element by element."""
-    if isinstance(items, np.ndarray):
-        kinds = {_KINDS.get(items.dtype.kind) if items.ndim == 1 else None}
-    else:
-        kinds = set(map(type, items))
-    if kinds == {int}:
-        return [("%s", items)]
-    if kinds == {float}:
-        return [("%.17g", items)]
-    if kinds == {complex}:
-        re, im = _parts(items)
+def _flat_pieces(array: np.ndarray) -> list | None:
+    """The row pieces (see ``_rows``) of a 1-d int, float or complex array;
+    None for any other array, which goes as its ``tolist``."""
+    kind = array.dtype.kind if array.ndim == 1 else None
+    if kind in ("i", "u"):
+        return [("%s", array)]
+    if kind == "f":
+        return [("%.17g", array)]
+    if kind == "c":
+        re, im = _parts(array)
         return ["[", ("%.17g", re), ", ", ("%.17g", im), "]"]
     return None
 
 
-def _int_digits(column) -> tuple[bool, int] | None:
+def _int_digits(column: np.ndarray) -> tuple[bool, int] | None:
     """(whether an entry is negative, digits of the largest |v|) of a nonempty
-    int array or list of only Python ints (bools excluded) with every entry
-    strictly within 2**53 of 0, so that int64 holds it and it has at most 16
-    digits; None for any other column."""
-    if isinstance(column, np.ndarray):
-        ints = column.dtype.kind in "iu"
-    else:
-        ints = set(map(type, column)) == {int}
-    if not ints or len(column) == 0:
+    int array with every entry strictly within 2**53 of 0, so that int64
+    holds it and it has at most 16 digits; None for any other column."""
+    if column.dtype.kind not in "iu":
         return None
-    lo, hi = int(np.min(column)), int(np.max(column))
+    lo, hi = int(column.min()), int(column.max())
     if not -(2**53) < lo <= hi < 2**53:
         return None
     return lo < 0, len(str(max(-lo, hi)))
 
 
-# Below this many rows one % format string is faster: the numpy route costs
-# about 0.15 ms per float column whatever the length, and overtakes % between
-# 256 and 512 rows for float lists, complex lists and CSV rows (2-core x86 host).
-_VECTOR_MIN = 512
 # Rows per numpy pass: the byte matrix and temporaries stay near 1 MB, and the
 # matrix row length is no power of two, whose cache aliasing slows the transpose.
 _BLOCK = 4000
@@ -208,16 +190,11 @@ _RESTORE_NUL = bytes.maketrans(b"\xff", b"\x00")
 def _rows(pieces: list, sep: str, write) -> None:
     """Pass to ``write``, in chunks, the UTF-8 of ``sep.join`` of one row per
     index, each the concatenation of ``pieces``: text as it is, and each
-    ``(format, column)`` as ``format % column[i]``, format "%.17g" or "%s".
-    The row count is that of the shortest column."""
-    columns = [p[1] for p in pieces if not isinstance(p, str)]
-    n = min(map(len, columns))
-    if n < _VECTOR_MIN:
-        row = "".join(p.replace("%", "%%") if isinstance(p, str) else p[0] for p in pieces)
-        cells = [None] * (n * len(columns))
-        for j, column in enumerate(columns):
-            cells[j :: len(columns)] = column[:n] if isinstance(column, list) else column[:n].tolist()
-        write((sep.join([row] * n) % tuple(cells)).encode())
+    ``(format, column)``, the column a numpy array, as ``format % column[i]``,
+    format "%.17g" or "%s".  The row count is that of the shortest column;
+    no rows write nothing."""
+    n = min(len(p[1]) for p in pieces if not isinstance(p, str))
+    if n == 0:
         return
     pieces = [_constant_text(p, n) for p in pieces]
     pieces = [
@@ -244,11 +221,11 @@ def _rows(pieces: list, sep: str, write) -> None:
 
 
 def _constant_text(piece, n: int):
-    """A ``(format, column)`` piece whose column is a numpy array with its
-    first n entries all of one bit pattern, as the text each of those rows
-    prints; any other piece as it is.  Bits, not values, are compared, so
-    0.0 and -0.0 stay apart."""
-    if isinstance(piece, str) or not isinstance(piece[1], np.ndarray):
+    """A ``(format, column)`` piece whose column has its first n entries all
+    of one bit pattern, as the text each of those rows prints; any other
+    piece as it is.  Bits, not values, are compared, so 0.0 and -0.0 stay
+    apart."""
+    if isinstance(piece, str):
         return piece
     fmt, column = piece
     if column.dtype.kind not in "biuf" or column.dtype.itemsize not in (1, 2, 4, 8):
@@ -259,7 +236,7 @@ def _constant_text(piece, n: int):
     return fmt % column[:1].tolist()[0]
 
 
-def _cell_column(fmt: str, column) -> tuple:
+def _cell_column(fmt: str, column: np.ndarray) -> tuple:
     """(cell width, fill) for ``fmt % v`` of each v of a column; ``fill(out, lo,
     hi)`` writes the cells of rows [lo, hi) into a column-major byte matrix,
     NUL where a cell is shorter than the width."""
@@ -273,8 +250,7 @@ def _cell_column(fmt: str, column) -> tuple:
         return negative + digits, lambda out, lo, hi: _int_cells(
             out, np.asarray(column[lo:hi], dtype=np.int64), digits
         )
-    items = column.tolist() if isinstance(column, np.ndarray) else column
-    text = np.array([str(v).encode().replace(b"\x00", b"\xff") for v in items])
+    text = np.array([str(v).encode().replace(b"\x00", b"\xff") for v in column.tolist()])
     text = text.view(np.uint8).reshape(len(column), -1)
 
     def fill(out, lo, hi):
@@ -474,7 +450,8 @@ def emit_report(report: Report, fmt: str) -> bytes:
             out.write(line.encode())
         for seq in report.sequences:
             re, im = (("%.17g", part) for part in _parts(seq["values"]))
-            row = [_csv_name(seq["name"]) + ",", ("%s", seq["points"]), ",", re, ",", im, "\n"]
+            points = ("%s", np.asarray(seq["points"]))
+            row = [_csv_name(seq["name"]) + ",", points, ",", re, ",", im, "\n"]
             _rows(row, "", out.write)
         return out.getvalue()
     raise ParameterError(f"unknown report format {fmt!r}")

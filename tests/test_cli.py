@@ -1,4 +1,5 @@
 import ast
+import cmath
 import contextlib
 import copy
 import hashlib
@@ -7,6 +8,7 @@ import io
 import json
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -1071,6 +1073,37 @@ DENSE = {k: complex((k % 5 + 1) / 7, (k % 3 - 1) / 11) for k in range(-16, 17)}
 DENSE_A = {"modes": [[k, v.real, v.imag] for k, v in DENSE.items()]}
 DENSE_B = {"modes": [[-k, v.real, -v.imag] for k, v in DENSE.items()]}
 LACUNARY_2_16 = {"weierstrass": {"alpha": 0.5, "gamma": 2, "c": "constant:1", "cutoff": 2**16}}
+
+
+def _seed_1(tag: str) -> random.Random:
+    """The generator the benchmark's seed-1 configs draw ``tag``'s values from."""
+    return random.Random(f"1:{tag}")
+
+
+def _unit_modes(rng: random.Random, ks) -> dict:
+    """The benchmark's random symbol: r * e^{i phi} at each mode of ``ks``."""
+    unit = lambda: rng.uniform(0.3, 1.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    coeffs = {k: unit() for k in ks}
+    return {"modes": [[k, coeffs[k].real, coeffs[k].imag] for k in sorted(coeffs)]}
+
+
+def _twist_2() -> dict:
+    t = _seed_1("twist2").uniform(-math.pi, math.pi)
+    return {"matrix": [[0.0, t], [-t, 0.0]]}
+
+
+def _twist_3() -> dict:
+    rng = _seed_1("twist3")
+    upper = [[rng.uniform(-1.0, 1.0) if j > i else 0.0 for j in range(3)] for i in range(3)]
+    return {"matrix": [[upper[i][j] - upper[j][i] for j in range(3)] for i in range(3)]}
+
+
+def _kernel_128() -> dict:
+    rng = _seed_1("kernel128")
+    a, b = _unit_modes(rng, (1, 2, 3, -2)), _unit_modes(rng, (-1, -2, -3, 2))
+    return {"a": a, "b": b, "N": 128, "r": 1.0 - 1e-8}
+
+
 BENCH_SIZE_BODIES = {
     "sweep-W(0.5,2,1)-2048.json": (
         "SingularValueSweep", {"alpha": 0.5, "gamma": 2, "N": 2048, "c": "constant:1"}, "json",
@@ -1097,6 +1130,35 @@ BENCH_SIZE_BODIES = {
             ("csv", "8d1bdcb55f29894ea3df9f22147545a81d51a21f9c8aedf82949ce329d5f53a1"),
         ]
     },
+    # the seed-1 configs of the benchmark's nctorus, winding-z3, kernel and hn ops
+    "nctorus-n2-N512.json": (
+        "NcTorus",
+        {
+            "n": 2, "N": 512, "T": "grading-dirac", "theta": _twist_2(),
+            "symbols": [{"pair": [1, 0]}, {"pair": [0, 1]}, {"pair": [1, 1]}],
+        },
+        "json", True, "47b2329e6a096afa8dac658807afefd1da72a91d2ceeb9470aa32bf0710f1bc8",  # matmul
+    ),
+    "nctorus-n3-N256.json": (
+        "NcTorus",
+        {
+            "n": 3, "N": 256, "T": "dirac", "theta": _twist_3(),
+            "symbols": [{"pair": [1, 0, 0]}, {"pair": [0, 1, 1]}, {"pair": [1, 1, 1]}],
+        },
+        "json", True, "68442138d7f308f16315919a2b6d9201eb6330c3f06267f6ee2636c24ed7cc22",  # matmul
+    ),
+    "winding-z3-1024.json": (
+        "Winding", {"a": "z^3", "N": 1024}, "json",
+        True, "dae89b35783d6d3fd8afccee0cbeb325f27a41ab5571fc00fe98cae41c898074",  # FFT
+    ),
+    "kernel-N128.json": (
+        "KernelCheck", _kernel_128(), "json",
+        True, "449226a0085124e0074f4fe8ce42ba50c23cd7c6872b9acad80d0fd5d9a7a15d",  # FFT
+    ),
+    "hn-m8-2^14.json": (
+        "HnCheck", {"m_max": 8, "N": 2**14, "t_points": 64}, "json",
+        False, "34def6dd20fcb3ffa82552d92379eb72c41e057109dcfb56d3b8e1bc39739747",
+    ),
 }
 
 

@@ -454,7 +454,7 @@ class TestSphereKernel:
 
     @pytest.mark.parametrize("n, m", [(0, 20000), (3, 500), (39, 41), (40, 41)])
     def test_binomials_match_math_comb_either_side_of_n_plus_one_orders(self, n, m):
-        # below N + 1 = max(m) each entry is one math.comb, from there a running sum
+        # orders far above N + 1 and either side of it, each a running sum
         ms = [m, 1, m // 2]
         table = np.empty((n + 1, len(ms)))
         cf._fill_binomials(table, n, ms)
@@ -492,6 +492,17 @@ class TestSphereKernel:
             sphere_kernel_derivative(0.5, 1, [2, 172])
         with pytest.raises(ParameterError):
             sphere_kernel_derivative(0.5, -1, 2)
+
+    @pytest.mark.parametrize("m", [2.5, True, [1, 2.5], [np.nan], [np.inf], "2"])
+    def test_orders_that_are_not_integers_are_refused(self, m):
+        for form in (sphere_kernel, sphere_kernel_derivative, sphere_kernel_routes):
+            with pytest.raises(ParameterError, match="integer orders"):
+                form(0.5, 8, m)
+
+    @pytest.mark.parametrize("m", [3.0, np.int64(3), [3.0], np.array([3], dtype=np.uint8)])
+    def test_integral_orders_of_any_type_are_taken(self, m):
+        for form in (sphere_kernel, sphere_kernel_derivative):
+            assert same_bits(np.ravel(form(0.5, 8, m)), np.ravel(form(0.5, 8, 3)))
 
 
 class TestWinding:

@@ -293,6 +293,20 @@ def test_policy_refuses_a_window_base_that_is_not_an_integer_from_two(base):
         ClassifyPolicy(window_base=base)
 
 
+@pytest.mark.parametrize("count", [2.5, 3.5, 1, True, False])
+def test_policy_refuses_a_window_count_that_is_not_an_integer_from_two(count):
+    with pytest.raises(ParameterError, match=f"window_count must be an integer >= 2, got {count}"):
+        ClassifyPolicy(window_count=count)
+
+
+@pytest.mark.parametrize("count", [3.0, np.int64(3)])
+def test_policy_takes_an_integral_window_count_of_any_type(count):
+    x = 1 + 1 / np.sqrt(np.arange(4**8) + 1.0)
+    verdict = classify_limit(x, ClassifyPolicy(window_count=count))
+    expected = classify_limit(x, ClassifyPolicy(window_count=3))
+    assert verdict == expected and type(verdict.policy.window_count) is int
+
+
 @pytest.mark.parametrize("base", [3.0, np.int64(3)])
 def test_policy_takes_an_integral_window_base_of_any_type(base):
     x = 1.0 + 1.0 / np.sqrt(np.arange(3**12) + 1.0)

@@ -178,6 +178,12 @@ class TestCoefficientRule:
             CoefficientRule(head=(float("nan"),), extension="constant")
 
 
+@pytest.mark.parametrize("k", [True, False, 1.0, "1", np.float64(2.0)])
+def test_a_mode_that_is_not_an_integer_is_refused(k):
+    with pytest.raises(ParameterError, match="is not an integer"):
+        FourierSymbol({k: 1.0})
+
+
 def test_json_non_numeric_mode_entries_are_parameter_errors():
     for entry in ([1, "x", 0], [1, 0, [2]], ["x", 1, 0], [None, 1, 0]):
         with pytest.raises(ParameterError, match="malformed mode entry"):

@@ -196,6 +196,16 @@ def test_lattice_ball_includes_boundary_ties():
     assert ball[0] == (0, 0)
 
 
+@pytest.mark.parametrize("n_trunc", [64.0, True, "64", 0])
+def test_lattice_ball_refuses_a_truncation_that_is_not_an_integer_from_one(n_trunc):
+    with pytest.raises(ParameterError, match="truncation must be an integer >= 1"):
+        lattice_ball(2, n_trunc)
+
+
+def test_lattice_ball_takes_a_numpy_integer_truncation():
+    assert np.array_equal(lattice_ball(2, np.int64(25)), lattice_ball(2, 25))
+
+
 def test_torus_trace_zero_symbols():
     rep = clifford_rep(2)
     empty = LatticeSymbol(2, {})
@@ -204,7 +214,7 @@ def test_torus_trace_zero_symbols():
 
 
 def test_lattice_modes_refuse_a_coordinate_that_is_not_an_integer():
-    for bad in ((1.5, 0), (1.0, 0), ("1", 0)):
+    for bad in ((1.5, 0), (1.0, 0), ("1", 0), (True, 0), (0, False)):
         with pytest.raises(ParameterError, match="not an integer"):
             LatticeSymbol(2, {bad: 1.0})
         with pytest.raises(ParameterError, match="not an integer"):
@@ -241,6 +251,31 @@ def test_torus_trace_twist_enters_as_tuple_area_phase():
         rotation = np.exp(1j * form.theta[0, 1])
         assert np.max(np.abs(twisted.values - rotation * base.values)) < 1e-10
         assert np.max(np.abs(np.abs(twisted.values) - np.abs(base.values))) < 1e-10
+
+
+@pytest.mark.parametrize("n, t_name", [(2, "grading-dirac"), (3, "dirac")])
+def test_one_ball_walk_gives_each_twist_its_own_sums_bit_for_bit(n, t_name, monkeypatch):
+    monkeypatch.setattr(nc_torus, "_BLOCK_ENTRIES", 64)  # several blocks of the ball
+    rep = clifford_rep(n)
+    t_map = (grading_dirac_coefficients if t_name == "grading-dirac" else dirac_coefficients)(rep)
+    unit = np.eye(n, dtype=int)
+    symbols = [
+        LatticeSymbol.symmetric_pair(unit[0], 0.5 - 0.25j),
+        LatticeSymbol.symmetric_pair(unit[1] - unit[0], 1.5),
+        LatticeSymbol(n, {tuple(unit[1]): -0.75j, tuple(-unit[1]): 2.0}),
+    ]
+    rng = np.random.default_rng(8)
+    forms = []
+    for _ in range(2):
+        upper = np.triu(rng.uniform(-1.0, 1.0, (n, n)), k=1)
+        forms.append(AntisymmetricForm(upper - upper.T))
+    twists = [forms[0], None, forms[1]]
+    walked = nc_torus._torus_trace_partials(rep, t_map, symbols, 48, twists)
+    for seq, twist in zip(walked, twists):
+        alone = torus_trace_partial(rep, t_map, symbols, 48, twist)
+        assert np.array_equal(seq.points, alone.points)
+        assert seq.values.tobytes() == alone.values.tobytes()
+    assert walked[0].values.tobytes() != walked[1].values.tobytes()
 
 
 def test_torus_trace_untwisted_matches_closed_form_enumeration():

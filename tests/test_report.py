@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from circletrace import report as report_module
 from circletrace.report import (
     _BLOCK,
-    _VECTOR_MIN,
     Report,
     _csv_name,
     _rows,
@@ -41,8 +40,9 @@ INT_COLUMNS = [
     np.array([k for k in INT_EDGES if k >= 0] * 16, dtype=np.uint64),
 ]
 
-# Lists the one-join path formats (all exactly float, int or complex) and
-# lists it must leave to the element-by-element path.
+# Lists, each also written as the numpy array it makes (where it makes one):
+# exactly float, int or complex values, which an array writes through the
+# vectorized cells, and mixed or special values.
 LISTS = [
     [-0.0, 5e-324, 1e308, -1e308, 0.1, 1.0, 2.5e-310, 123456789.0],
     [0, -1, 7, 2**53 + 1, 2**63, 2**64 + 1, -(2**70)],
@@ -51,16 +51,16 @@ LISTS = [
     [0.0, -0.0, -0.0, 0.0, 1.0, -1.0],
     [complex(2.5, 0.0), complex(-2.5, -0.0), complex(0.0, 0.0), complex(-0.0, 1e-300)],
     [complex(1.0, 0.0)] * 5,
-    # more than one block of rows, and lists either side of the vectorized route
+    # more than one block of rows, and lists shorter than one
     [(-1.0) ** k * k / 3 for k in range(2 * _BLOCK + 3)],
     [complex(k / 7, -0.0 if k % 3 else 0.0) for k in range(_BLOCK + 1)],
     mixed_floats(2 * _BLOCK + 5),
     [complex(re, im) for re, im in zip(mixed_floats(_BLOCK + 9), mixed_floats(_BLOCK + 9, 12)[::-1])],
-    mixed_floats(_VECTOR_MIN),
-    mixed_floats(_VECTOR_MIN - 1),
+    mixed_floats(512),
+    mixed_floats(511),
     list(range(-_BLOCK, _BLOCK + 3)),
-    [2**53 - 1, -(2**53) + 1, 0] * _VECTOR_MIN,
-    [2**53, 2**63, -(2**70), 7] * _VECTOR_MIN,
+    [2**53 - 1, -(2**53) + 1, 0] * 512,
+    [2**53, 2**63, -(2**70), 7] * 512,
     [2**63],
     [True, 1],
     [1, True],
@@ -92,6 +92,18 @@ def written(obj) -> str:
 def test_list_bytes_equal_the_element_by_element_writer(items):
     elementwise = "[" + ", ".join(written(item) for item in items) + "]"
     assert written(items) == elementwise
+    try:
+        array = np.array(items)
+    except ValueError:  # a ragged list makes no array
+        return
+    assert written(array) == written(array.tolist())
+
+
+def test_an_empty_column_writes_nothing():
+    chunks = []
+    _rows(["[", ("%.17g", np.zeros(0)), ", ", ("%.17g", np.zeros(3)), "]"], ", ", chunks.append)
+    assert chunks == []
+    assert written(np.zeros(0, dtype=complex)) == "[]"
 
 
 @pytest.mark.parametrize("column", INT_COLUMNS, ids=["list", "int64", "int32", "uint64"])
@@ -129,8 +141,10 @@ def test_csv_rows_equal_the_per_cell_formula():
     both = [complex(re, im) for re, im in zip(mixed, mixed[::-1])]
     report.add_sequence("nul\x00 é,", "x", "y", list(range(-len(both), 0)), both)
     report.add_sequence("thirds", "x", "y", [k / 3 for k in range(_BLOCK + 1)], mixed[: _BLOCK + 1])
-    report.add_sequence("huge", "x", "y", [2**60 + k for k in range(_VECTOR_MIN)], mixed[:_VECTOR_MIN])
+    report.add_sequence("huge", "x", "y", [2**60 + k for k in range(512)], mixed[:512])
     report.sequences.append({"name": "short", "points": [0, 1, 2], "values": [1.0, -0.0]})
+    report.sequences.append({"name": "listed", "points": list(range(600)), "values": mixed[:600]})
+    report.sequences.append({"name": "none", "points": [], "values": []})
     report.sequences.append({"name": "few", "points": [0], "values": [[1.0, -0.0], [2.0, 3.0]]})
     report.sequences.append(
         {"name": "pairs", "points": [0, 1], "values": [[1.0, -0.0], [2.0, 3.0]]}
@@ -147,17 +161,14 @@ def test_csv_rows_equal_the_per_cell_formula():
 
 
 def vector_lines(values) -> list[str]:
-    """``'%.17g'`` of each value by the vectorized route, repeated up to the
-    size that takes it."""
-    values = np.resize(np.asarray(values, dtype=float), max(len(values), _VECTOR_MIN))
+    """``'%.17g'`` of each value by the vectorized route."""
     chunks = []
-    _rows([("%.17g", values)], "\n", chunks.append)
+    _rows([("%.17g", np.asarray(values, dtype=float))], "\n", chunks.append)
     return b"".join(chunks).decode().split("\n")
 
 
 def percent_lines(values) -> list[str]:
-    values = np.resize(np.asarray(values, dtype=float), max(len(values), _VECTOR_MIN))
-    return ["%.17g" % v for v in values.tolist()]
+    return ["%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
 
 
 @settings(derandomize=True, database=None, deadline=None)
@@ -240,16 +251,16 @@ ARRAY_SEQUENCES = [
     # int64 points at and beyond 2**53, where the float route stops
     (np.array([2**53 - 1, -(2**53) + 1, 0, 7]), np.arange(4.0)),
     (np.array([2**53, 2**53 + 1, 2**62, -(2**63)]), np.arange(4.0)),
-    (np.tile([2**53 - 1, -(2**53) + 1], _VECTOR_MIN), np.ones(2 * _VECTOR_MIN)),
-    (np.tile([2**53, 3], _VECTOR_MIN), np.ones(2 * _VECTOR_MIN)),
+    (np.tile([2**53 - 1, -(2**53) + 1], 512), np.ones(1024)),
+    (np.tile([2**53, 3], 512), np.ones(1024)),
     (np.arange(3, dtype=np.uint64), np.array([-0.0, 5e-324, 1e308])),
     (np.arange(2 * _BLOCK + 1), np.resize([-0.0, 5e-324, 1e308, -1e308, 0.1], 2 * _BLOCK + 1)),
     (np.arange(4), np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1e308j])),
     (np.arange(_BLOCK + 3), np.resize([complex(-0.0, 0.0), complex(2.5, -0.0), 1j], _BLOCK + 3)),
     (np.arange(3), np.array([True, False, True])),
-    (np.arange(_VECTOR_MIN + 1), np.arange(_VECTOR_MIN + 1) % 3 == 0),
+    (np.arange(513), np.arange(513) % 3 == 0),
     (np.arange(3), np.array([-4, 0, 2**60])),
-    (np.arange(_VECTOR_MIN), np.arange(_VECTOR_MIN) - 7),
+    (np.arange(512), np.arange(512) - 7),
     (np.arange(0), np.zeros(0)),
     (np.arange(0), np.zeros(0, dtype=complex)),
     (np.array([5]), np.array([-0.0])),
@@ -303,11 +314,10 @@ def test_fourier_trace_json_emit_holds_little_beside_its_output():
 
 
 def percent_route(pieces: list, sep: str) -> bytes:
-    """What ``_rows`` writes, one ``%`` format per cell and row, whatever the
-    row count: the route it takes below _VECTOR_MIN rows."""
+    """What ``_rows`` writes, one ``%`` format per cell and row."""
     columns = [p[1] for p in pieces if not isinstance(p, str)]
     n = min(map(len, columns))
-    cells = [c if isinstance(c, list) else c.tolist() for c in columns]
+    cells = [c.tolist() for c in columns]
     rows = []
     for i in range(n):
         values = iter(column[i] for column in cells)
@@ -332,7 +342,7 @@ FOLD_COLUMNS = [
     (np.resize([0.0, -0.0], N_FOLD), False),  # equal values, two bit patterns
     (np.concatenate([np.full(N_FOLD - 1, -0.0), [0.0]]), False),  # only its last entry differs
     (np.concatenate([[0.0], np.full(N_FOLD - 1, -0.0)]), False),  # only its first entry differs
-    (np.full(_VECTOR_MIN - 1, -0.0), True),  # below _VECTOR_MIN: the % route
+    (np.full(511, -0.0), True),  # shorter than RAMP: it sets the row count
     (np.concatenate([np.full(N_FOLD, -0.0), [1.0, 0.0]]), True),  # longer than the rows
 ]
 
@@ -348,8 +358,7 @@ def test_constant_columns_print_the_bytes_of_the_percent_route(column, folds, mo
     assert vector_route(pieces, ", ") == percent_route(pieces, ", ")
     csv = ["s,", ("%s", np.arange(N_FOLD)), ",", ("%.17g", column), ",", ("%.17g", RAMP), "\n"]
     assert vector_route(csv, "") == percent_route(csv, "")
-    if min(len(column), N_FOLD) >= _VECTOR_MIN:
-        assert any(c is column for c in cells) != folds
+    assert any(c is column for c in cells) != folds
 
 
 @pytest.mark.parametrize(
@@ -410,8 +419,7 @@ INT_WIDTH_COLUMNS = [
 @pytest.mark.parametrize("column, width", INT_WIDTH_COLUMNS, ids=range(len(INT_WIDTH_COLUMNS)))
 def test_int_columns_are_as_wide_as_their_widest_entry(column, width):
     assert report_module._cell_column("%s", column)[0] == width
+    pieces = [("%s", column), ",", ("%.17g", RAMP), "\n"]
+    assert vector_route(pieces, "") == percent_route(pieces, "")
     for items in (column, column.tolist()):
-        assert report_module._cell_column("%s", items)[0] == width
-        pieces = [("%s", items), ",", ("%.17g", RAMP), "\n"]
-        assert vector_route(pieces, "") == percent_route(pieces, "")
         assert written(items) == "[" + ", ".join(map(str, column.tolist())) + "]"
