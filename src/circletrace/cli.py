@@ -37,6 +37,7 @@ from .fourier import (
     CoefficientRule,
     FourierSymbol,
     WeierstrassParams,
+    _integer_from_two,
     gamma_powers,
     mode_symbol,
     _mode_coeffs,
@@ -49,6 +50,8 @@ from .nc_torus import (
     LatticeSymbol,
     clifford_rep,
     dirac_coefficients,
+    _check_symbols,
+    _check_twist,
     _iroot,
     grading_dirac_coefficients,
     identity_coefficients,
@@ -199,9 +202,7 @@ def parse_complex(value) -> complex:
 
 def parse_gamma(text) -> int:
     """A lacunary base: an integer >= 2, in any form ``parse_int_expr`` accepts."""
-    gamma = parse_int_expr(text)
-    gamma_powers(gamma, 0)  # refuses a base below 2
-    return gamma
+    return _integer_from_two(parse_int_expr(text), "gamma")
 
 
 def parse_bool(value) -> bool:
@@ -329,8 +330,7 @@ def _twist_from_obj(obj, rep: CliffordRep) -> AntisymmetricForm:
         return AntisymmetricForm.zero(rep.n)
     spec = _by_form(obj, _TWIST_FORMS, "twist form")
     if "matrix" in spec:
-        if spec["matrix"].n != rep.n:
-            raise ParameterError("twist form dimension does not match the representation")
+        _check_twist(rep, spec["matrix"])
         return spec["matrix"]
     rng = np.random.default_rng(spec["random"])
     upper = np.triu(rng.standard_normal((rep.n, rep.n)), k=1) * spec["scale"]
@@ -356,11 +356,8 @@ def _lattice_symbol_from_obj(obj, n: int) -> LatticeSymbol:
 
 
 def _lattice_symbols_from_obj(objs, rep: CliffordRep) -> list[LatticeSymbol]:
-    if not objs:
-        raise ParameterError("at least one symbol is required")
-    symbols = [_lattice_symbol_from_obj(obj, rep.n) for obj in objs]
-    if any(sym.dim != rep.n for sym in symbols):
-        raise ParameterError("symbol dimension does not match the representation")
+    symbols = [_lattice_symbol_from_obj(obj, rep.n) for obj in objs or ()]
+    _check_symbols(rep, symbols)
     return symbols
 
 
@@ -512,26 +509,18 @@ def _run_measurability(*, N, policy, entries, label, gamma, c, d) -> Report:
     return report
 
 
-def _sweep_symbol(alpha, gamma, c, N, **_) -> tuple[FourierSymbol, bool]:
-    """W(alpha, gamma, c) to 2N, and whether its spectrum is closed form: every
-    mode is a real power of gamma, so with none in (N, 2N) the block is H_P (+) 0."""
-    symbol = weierstrass_symbol(WeierstrassParams(alpha=alpha, gamma=gamma, c=c), 2 * N)
-    return symbol, symbol.restricted(2 * N - 1).n_max <= N
-
-
-def _sweep_cost(v: dict):
-    yield "singular values", v["N"], "max_tuples"
-    if not _sweep_symbol(**v)[1]:  # the symbol is built only once N has passed
-        yield "dense matrix rows", v["N"], "max_matrix"
-
-
 def _sweep_params(**v) -> dict:
-    """The params, once an explicit fit window is checked: the default k_hi is the
-    rank capped at min(512, N/4), so a k_lo the cap refuses fails for every rank."""
+    """The params, once an explicit fit window is checked against the cap on
+    the default k_hi (a k_lo the cap refuses fails for every rank), plus that
+    cap and W(alpha, gamma, c) to 2N with its route: every mode is a real power
+    of gamma, so with none in (N, 2N) the block is H_P (+) 0, in closed form."""
+    N = v["N"]
+    cap = min(512, N // 4)
     if v["k_lo"] is not None or v["k_hi"] is not None:
-        hi = min(512, v["N"] // 4) if v["k_hi"] is None else v["k_hi"]
-        check_fit_window(_default_k_lo(v["k_lo"], hi), hi, v["N"])
-    return v
+        hi = cap if v["k_hi"] is None else v["k_hi"]
+        check_fit_window(_default_k_lo(v["k_lo"], hi), hi, N)
+    symbol = weierstrass_symbol(WeierstrassParams(v["alpha"], v["gamma"], v["c"]), 2 * N)
+    return {**v, "cap": cap, "symbol": symbol, "closed": symbol.restricted(2 * N - 1).n_max <= N}
 
 
 @_kind(
@@ -541,16 +530,19 @@ def _sweep_params(**v) -> dict:
           help="quasinorm exponent, default: 1/alpha"),
     Param("k_lo", parse_int_expr, None, help="default: 16, or max(1, k_hi // 2) when k_hi < 18"),
     Param("k_hi", parse_int_expr, None, help="default: min(512, N/4, numerical rank)"),
-    cost=_sweep_cost, make=_sweep_params,
+    cost=lambda v: [
+        ("singular values", v["N"], "max_tuples"),
+        *([] if v["closed"] else [("dense matrix rows", v["N"], "max_matrix")]),
+    ],
+    make=_sweep_params,
 )
-def _run_singular_sweep(*, alpha, gamma, c, N, p, k_lo, k_hi) -> Report:
-    symbol, closed = _sweep_symbol(alpha, gamma, c, N)
+def _run_singular_sweep(*, alpha, gamma, c, N, p, k_lo, k_hi, cap, symbol, closed) -> Report:
     if closed:
         spectrum = lacunary_hankel_spectrum(symbol, gamma, N)
     else:
         spectrum = singular_values(hankel_matrix(symbol, N))
     if k_hi is None:
-        k_hi = min(512, N // 4, int(np.count_nonzero(spectrum.mu > 0)))
+        k_hi = min(cap, int(np.count_nonzero(spectrum.mu > 0)))
     k_lo = _default_k_lo(k_lo, k_hi)
     report = Report(kind="SingularValueSweep")
     report.inputs = dict(alpha=alpha, gamma=gamma, N=N, c=_rule_json(c), p=p, k_lo=k_lo, k_hi=k_hi)
@@ -579,7 +571,9 @@ _B = replace(_A, name="b")
     _A, _B, Param("N", parse_size, 64), Param("r", parse_float, cf.KernelParams.r),
     Param("grid", parse_size, lambda v: 8 * v["N"], help="default: 8*N"),
     cost=lambda v: [("quadrature grid points", v["kernel"].grid, "max_tuples")],
-    make=lambda a, b, N, r, grid: {"a": a, "b": b, "kernel": cf.KernelParams(N, grid, r)},
+    make=lambda a, b, N, r, grid: {
+        "a": a, "b": b, "kernel": cf._banded_kernel(a, b, cf.KernelParams(N, grid, r))
+    },
 )
 def _run_kernel_check(*, a, b, kernel: cf.KernelParams) -> Report:
     N, r = kernel.n_trunc, kernel.r
@@ -686,6 +680,9 @@ def _run_hn_check(*, m_max, N, t_points) -> Report:
     orders = range(1, m_max + 1)
     # refuses derivative products beyond float64 before any work
     binom_form, derivative_form = cf.sphere_kernel_routes(t_grid, N, orders)
+    # Not movable before the pass: overflow turns on each of its IEEE steps, so
+    # a closed-form bound refuses runs that succeed near the edge, and the
+    # exact rule replays the worst lane's N + 1 steps, as long as the pass.
     if not np.isfinite(derivative_form).all():
         raise ParameterError(f"derivative route overflows float64 at N = {N}, m up to {m_max}")
     gaps = np.max(np.abs(binom_form - derivative_form), axis=1)

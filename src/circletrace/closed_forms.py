@@ -191,6 +191,18 @@ class KernelParams:
             )
 
 
+def _banded_kernel(a: FourierSymbol, b: FourierSymbol, params: KernelParams) -> KernelParams:
+    """``params``, once the a_+ and b_- bands are checked against the kernel
+    range N+1.  The grid needs no check of its own: grid >= 8N > N+1+band."""
+    band = max(max((k for k in a.coeffs if k >= 0), default=0),
+               max((-k for k in b.coeffs if k < 0), default=0))
+    if band > params.n_trunc + 1:
+        raise ParameterError(
+            f"symbol band {band} exceeds the kernel range N+1 = {params.n_trunc + 1}"
+        )
+    return params
+
+
 def integral_trace(a: FourierSymbol, b: FourierSymbol, params: KernelParams) -> complex:
     """Double circle quadrature of a_+(conj zeta) b_-(z) against the kernel.
 
@@ -213,20 +225,10 @@ def integral_trace(a: FourierSymbol, b: FourierSymbol, params: KernelParams) -> 
     N <= 128 (G = 8N and odd grids) and 2.3e-12 at N = 512, G = 4096; the
     tests assert 1e-11 for N <= 128.
     """
+    _banded_kernel(a, b, params)
     a_plus, _ = hardy_split(a)
     _, b_minus = hardy_split(b)
     n, r, grid = params.n_trunc, params.r, params.grid
-    deg_a = max((k for k in a_plus.coeffs), default=0)
-    deg_b = max((-k for k in b_minus.coeffs), default=0)
-    band = max(deg_a, deg_b)
-    if band > n + 1:
-        raise ParameterError(
-            f"symbol band {band} exceeds the kernel range N+1 = {n + 1}"
-        )
-    if grid <= n + 1 + band:
-        raise ParameterError(
-            f"grid of {grid} points is too coarse for band {band} at truncation {n}"
-        )
     if not a_plus.coeffs or not b_minus.coeffs:
         return 0j
     angles = circle_grid(grid)

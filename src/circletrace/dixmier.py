@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BasisMismatchError, ParameterError
-from .fourier import gamma_powers
+from .fourier import _integer_from_two, gamma_powers
 from .operators import OrderingRule, TruncatedOperator
 
 __all__ = [
@@ -108,20 +108,18 @@ class ClassifyPolicy:
     window_base: int = 2  # dyadic by default; gamma-adic probing is opt-in
 
     def __post_init__(self) -> None:
-        count = int(self.window_count)
-        if count != self.window_count or count < 2:
-            raise ParameterError(f"window_count must be an integer >= 2, got {self.window_count}")
+        count = _integer_from_two(self.window_count, "window_count")
         object.__setattr__(self, "window_count", count)  # it slices the window means
         if self.rel_gap <= 0 or self.abs_floor <= 0:
             raise ParameterError("rel_gap and abs_floor must be positive")
-        gamma_powers(self.window_base, 0)  # refuses a base other than an integer >= 2
+        object.__setattr__(self, "window_base", _integer_from_two(self.window_base, "gamma"))
 
     def check_length(self, size: int) -> None:
         """Refuse a sequence of ``size`` terms, shorter than window_base **
         (window_count + 2); bit lengths settle a power far above ``size``
         without forming it."""
         need = self.window_count + 2
-        base = int(self.window_base)  # also an integral float or numpy int
+        base = self.window_base
         if need * (base.bit_length() - 1) >= size.bit_length() or size < base**need:
             raise ParameterError(
                 f"sequence of length {size} is too short for "

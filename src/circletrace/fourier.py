@@ -105,8 +105,7 @@ class CoefficientRule:
         if self.extension == "block-indicator":
             if self.base is None:
                 raise ParameterError("block-indicator rule needs an integer base >= 2")
-            gamma_powers(self.base, 0)  # refuses a base other than an integer >= 2
-            object.__setattr__(self, "base", int(self.base))
+            object.__setattr__(self, "base", _integer_from_two(self.base, "gamma"))
         if any(not math.isfinite(x) for x in self.head):
             raise ParameterError("coefficient head must be finite")
 
@@ -140,9 +139,8 @@ class CoefficientRule:
             return np.tile(np.asarray(self.head), reps)[:count]
         if self.extension == "block-indicator":
             out = np.ones(count)
-            g = int(self.base)  # validated >= 2
-            for lo in gamma_powers(g, count - 1)[::2]:  # g^(2j)
-                out[lo : lo * g] = 0.0
+            for lo in gamma_powers(self.base, count - 1)[::2]:  # base^(2j)
+                out[lo : lo * self.base] = 0.0
             return out
         # sqrt-log-cos, formed in place
         out = np.arange(count, dtype=float)
@@ -164,16 +162,24 @@ class WeierstrassParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
-        gamma_powers(self.gamma, 0)  # refuses a base other than an integer >= 2
-        object.__setattr__(self, "gamma", int(self.gamma))
+        object.__setattr__(self, "gamma", _integer_from_two(self.gamma, "gamma"))
+
+
+def _integer_from_two(value, name: str) -> int:
+    """``value`` as an int where it is an integer >= 2 of any numeric type;
+    a bool (0 or 1), nan, inf or any other value is a ParameterError."""
+    try:
+        if int(value) == value and value >= 2:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # nan, inf, not a number
+        pass
+    raise ParameterError(f"{name} must be an integer >= 2, got {value}")
 
 
 def gamma_powers(gamma: int, limit: int) -> list[int]:
     """The lacunary levels 1, gamma, gamma^2, ... that are at most ``limit``
     (none when ``limit`` < 1), as exact integers; gamma must be an integer >= 2."""
-    step = int(gamma)
-    if step != gamma or step < 2:
-        raise ParameterError(f"gamma must be an integer >= 2, got {gamma}")
+    step = _integer_from_two(gamma, "gamma")
     powers, power = [], 1
     while power <= limit:
         powers.append(power)

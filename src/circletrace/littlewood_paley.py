@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ParameterError
-from .fourier import FourierSymbol, gamma_powers
+from .fourier import FourierSymbol, _integer_from_two, gamma_powers
 
 __all__ = [
     "INF",
@@ -58,7 +58,7 @@ def hat_weights(n: int, gamma: int, modes) -> np.ndarray:
     lo, mid, hi = gamma^(|n|-1), gamma^|n|, gamma^(|n|+1), are taken in int64
     and so equal the exact-integer quotients bit for bit while hi < 2^53.
     """
-    gamma_powers(gamma, 0)  # refuses a base other than an integer >= 2
+    gamma = _integer_from_two(gamma, "gamma")  # an int, so its powers are exact
     k = np.asarray(modes, dtype=np.int64) * (-1 if n < 0 else 1)
     out = np.zeros(k.shape)
     if n == 0:
@@ -106,18 +106,20 @@ def _mode_values(roots: np.ndarray, r: int, c: complex) -> np.ndarray:
     G - g they are 0, G - g, G - 2g, ..., g: strided reads of the table, with
     no index arithmetic and no gather.  Every mode +-gamma^n of a lacunary
     symbol, and the modes +-1, is one of these; other residues are gathered.
-    Each product is ``c * <new array>``, as for a gather, so numpy takes the
-    same loop and operand order however the roots are read: its complex
-    product may round differently with the operands swapped, and it swaps
-    them when it reuses a large temporary in place.
+    Each product is ``np.multiply(c, x)``, scalar first, and into x where x
+    is a new array: numpy's complex product may round differently with its
+    operands swapped, and ``c * x`` swaps them when numpy reuses a large
+    temporary x in place.
     """
     size = len(roots)
     g = math.gcd(r, size)
     if r == g:
-        return c * roots[::g].copy()
+        return np.multiply(c, roots[::g])
     if r == size - g:
-        return c * np.concatenate([roots[:1], roots[size - g : 0 : -g]])
-    return c * roots[np.arange(size // g) * r % size]
+        read = np.concatenate([roots[:1], roots[size - g : 0 : -g]])
+    else:
+        read = roots[np.arange(size // g) * r % size]
+    return np.multiply(c, read, out=read)
 
 
 def holder_norm_star(a: FourierSymbol, alpha: float, gamma: int) -> float:
@@ -135,7 +137,7 @@ def besov_norm(a: FourierSymbol, t: float, p, q, gamma: int) -> float:
 
     The L^p norms are taken on a uniform grid of max(8 * n_max, 16) angles.
     """
-    gamma_powers(gamma, 0)  # refuses a base other than an integer >= 2
+    gamma = _integer_from_two(gamma, "gamma")
     p = _normalize_exponent(p)
     q = _normalize_exponent(q)
     size = max(8 * max(a.n_max, 1), 16)

@@ -341,6 +341,18 @@ def lattice_ball(n: int, n_trunc: int) -> np.ndarray:
 _BLOCK_ENTRIES = 1 << 18
 
 
+def _check_symbols(rep: CliffordRep, symbols: Sequence[LatticeSymbol]) -> None:
+    if not symbols:
+        raise ParameterError("at least one symbol is required")
+    if any(sym.dim != rep.n for sym in symbols):
+        raise ParameterError("symbol dimension does not match the representation")
+
+
+def _check_twist(rep: CliffordRep, form: AntisymmetricForm) -> None:
+    if form.n != rep.n:
+        raise ParameterError("twist form dimension does not match the representation")
+
+
 def torus_trace_partial(
     rep: CliffordRep,
     t_coefficients: Callable[[np.ndarray], np.ndarray],
@@ -375,14 +387,10 @@ def _torus_trace_partials(
     """``torus_trace_partial`` for each twist of ``twists``, bit for bit, from
     one walk of the ball: the twist enters only as one weight per zero-sum
     tuple, so each tuple's spinor traces are formed once per block."""
-    if not symbols:
-        raise ParameterError("at least one symbol is required")
-    for sym in symbols:
-        if sym.dim != rep.n:
-            raise ParameterError("symbol dimension does not match the representation")
+    _check_symbols(rep, symbols)
     forms = [twist if twist is not None else AntisymmetricForm.zero(rep.n) for twist in twists]
-    if any(form.n != rep.n for form in forms):
-        raise ParameterError("twist form dimension does not match the representation")
+    for form in forms:
+        _check_twist(rep, form)
 
     supports = [sym.support() for sym in symbols]
     # theta(sum of a zero-sum tuple, K) = 0, so a tuple's twist phase is the

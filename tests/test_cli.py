@@ -33,10 +33,19 @@ from circletrace.cli import (
     symbol_from_arg,
     symbol_from_obj,
 )
-from circletrace.dixmier import cesaro_mean, classify_limit
+from circletrace.dixmier import cesaro_mean, classify_limit, residue_sequence
 from circletrace.errors import ParameterError, ResourceLimitError
-from circletrace.fourier import CoefficientRule
+from circletrace.fourier import CoefficientRule, weierstrass_symbol
+from circletrace.littlewood_paley import besov_norm, holder_norm_star
+from circletrace.operators import (
+    commutator_matrix,
+    hankel_matrix,
+    hardy_compress,
+    operator_product,
+    szego_projection,
+)
 from circletrace.report import Report, emit_report
+from circletrace.spectral import singular_values
 
 
 def test_parse_int_expr():
@@ -202,6 +211,19 @@ def test_singular_sweep_resource_cap():
     )
     report = run_experiment(small)
     assert report.sequences[0]["name"] == "mu"
+
+
+@pytest.mark.parametrize("N", [128, 96])  # the closed and the dense route
+def test_a_sweep_builds_its_symbol_once(N, monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return weierstrass_symbol(*args)
+
+    monkeypatch.setattr(cli, "weierstrass_symbol", counted)
+    run_experiment(ExperimentConfig("SingularValueSweep", {"N": N, "k_lo": 4, "k_hi": 16}))
+    assert len(built) == 1
 
 
 def test_singular_sweep_default_window_stops_at_rank(tmp_path):
@@ -373,6 +395,9 @@ OVERSIZED = {
         ["kernel-check", "--a", "z^1", "--b", "z^-1", "--N", "8", "--r", "1.5", "--grid", "2**30"],
         2,
     ),
+    "kernel-check-band-oversized": (
+        ["kernel-check", "--a", "z^200", "--b", "z^-1", "--N", "64", "--grid", "2**30"], 2,
+    ),
 }
 TORUS_2_30 = {"n": 2, "N": "2**30", "symbols": [{"pair": [1, 0]}, {"pair": [0, 1]}]}
 # N + 1 = 65 terms are too few for the default 5 dyadic windows, and above max_tuples
@@ -381,17 +406,22 @@ SHORT_MEASURABILITY = {
 }
 
 
+def _cli_process(argv, cwd) -> subprocess.CompletedProcess:
+    """``circletrace argv`` in a process of its own, under a 1 GiB address space."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "circletrace.cli", *argv],
+        capture_output=True, text=True, cwd=cwd, env=env, timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+
+
 @pytest.mark.parametrize("argv, code", OVERSIZED.values(), ids=OVERSIZED)
 def test_oversized_commands_exit_with_one_line(argv, code, tmp_path):
     (tmp_path / "torus.json").write_text(json.dumps(TORUS_2_30))
     (tmp_path / "short.json").write_text(json.dumps(SHORT_MEASURABILITY))
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "circletrace.cli", *argv],
-        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60,
-        preexec_fn=_limit_address_space,
-    )
+    proc = _cli_process(argv, tmp_path)
     assert (proc.returncode, proc.stdout) == (code, "")
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "Traceback" not in proc.stderr
@@ -1003,6 +1033,33 @@ def test_malformed_batch_configs_exit_2(entry):
     assert len(lines) == 1 and lines[0].startswith("parameter error: ")
 
 
+@st.composite
+def oversized_configs(draw):
+    """A SMALL config with one integer parameter far above every limit."""
+    kind = draw(st.sampled_from(sorted(SMALL)))
+    integers = (cli.parse_size, cli.parse_int64_size, cli.parse_int_expr, cli.parse_gamma)
+    names = [p.name for p in cli._KINDS[kind].params.params if p.parse in integers]
+    params = copy.deepcopy(SMALL[kind])
+    params[draw(st.sampled_from(names))] = draw(
+        st.one_of(st.integers(24, 400).map(lambda e: f"2**{e}"), st.integers(2**24, 2**80))
+    )
+    return {"kind": kind, "params": params}
+
+
+# each example is a process of its own: about 0.2 s
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(oversized_configs())
+def test_oversized_configs_exit_with_a_report_or_one_line(entry):
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "batch.json").write_text(json.dumps(entry))
+        proc = _cli_process(["run", "--config", "batch.json"], tmp)
+    assert proc.returncode in (0, 2, 3)
+    assert len(proc.stderr.splitlines()) == (proc.returncode != 0)
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 0:
+        json.loads(proc.stdout)
+
+
 # The README CLI examples, plus one fourier-trace long enough for the
 # numpy-built '%.17g' rows; each writes the file named first.  The
 # three-rule measurability table is the benchmark's measurability-4^10 op.
@@ -1074,36 +1131,6 @@ DENSE_A = {"modes": [[k, v.real, v.imag] for k, v in DENSE.items()]}
 DENSE_B = {"modes": [[-k, v.real, -v.imag] for k, v in DENSE.items()]}
 LACUNARY_2_16 = {"weierstrass": {"alpha": 0.5, "gamma": 2, "c": "constant:1", "cutoff": 2**16}}
 
-
-def _seed_1(tag: str) -> random.Random:
-    """The generator the benchmark's seed-1 configs draw ``tag``'s values from."""
-    return random.Random(f"1:{tag}")
-
-
-def _unit_modes(rng: random.Random, ks) -> dict:
-    """The benchmark's random symbol: r * e^{i phi} at each mode of ``ks``."""
-    unit = lambda: rng.uniform(0.3, 1.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-    coeffs = {k: unit() for k in ks}
-    return {"modes": [[k, coeffs[k].real, coeffs[k].imag] for k in sorted(coeffs)]}
-
-
-def _twist_2() -> dict:
-    t = _seed_1("twist2").uniform(-math.pi, math.pi)
-    return {"matrix": [[0.0, t], [-t, 0.0]]}
-
-
-def _twist_3() -> dict:
-    rng = _seed_1("twist3")
-    upper = [[rng.uniform(-1.0, 1.0) if j > i else 0.0 for j in range(3)] for i in range(3)]
-    return {"matrix": [[upper[i][j] - upper[j][i] for j in range(3)] for i in range(3)]}
-
-
-def _kernel_128() -> dict:
-    rng = _seed_1("kernel128")
-    a, b = _unit_modes(rng, (1, 2, 3, -2)), _unit_modes(rng, (-1, -2, -3, 2))
-    return {"a": a, "b": b, "N": 128, "r": 1.0 - 1e-8}
-
-
 BENCH_SIZE_BODIES = {
     "sweep-W(0.5,2,1)-2048.json": (
         "SingularValueSweep", {"alpha": 0.5, "gamma": 2, "N": 2048, "c": "constant:1"}, "json",
@@ -1130,35 +1157,6 @@ BENCH_SIZE_BODIES = {
             ("csv", "8d1bdcb55f29894ea3df9f22147545a81d51a21f9c8aedf82949ce329d5f53a1"),
         ]
     },
-    # the seed-1 configs of the benchmark's nctorus, winding-z3, kernel and hn ops
-    "nctorus-n2-N512.json": (
-        "NcTorus",
-        {
-            "n": 2, "N": 512, "T": "grading-dirac", "theta": _twist_2(),
-            "symbols": [{"pair": [1, 0]}, {"pair": [0, 1]}, {"pair": [1, 1]}],
-        },
-        "json", True, "47b2329e6a096afa8dac658807afefd1da72a91d2ceeb9470aa32bf0710f1bc8",  # matmul
-    ),
-    "nctorus-n3-N256.json": (
-        "NcTorus",
-        {
-            "n": 3, "N": 256, "T": "dirac", "theta": _twist_3(),
-            "symbols": [{"pair": [1, 0, 0]}, {"pair": [0, 1, 1]}, {"pair": [1, 1, 1]}],
-        },
-        "json", True, "68442138d7f308f16315919a2b6d9201eb6330c3f06267f6ee2636c24ed7cc22",  # matmul
-    ),
-    "winding-z3-1024.json": (
-        "Winding", {"a": "z^3", "N": 1024}, "json",
-        True, "dae89b35783d6d3fd8afccee0cbeb325f27a41ab5571fc00fe98cae41c898074",  # FFT
-    ),
-    "kernel-N128.json": (
-        "KernelCheck", _kernel_128(), "json",
-        True, "449226a0085124e0074f4fe8ce42ba50c23cd7c6872b9acad80d0fd5d9a7a15d",  # FFT
-    ),
-    "hn-m8-2^14.json": (
-        "HnCheck", {"m_max": 8, "N": 2**14, "t_points": 64}, "json",
-        False, "34def6dd20fcb3ffa82552d92379eb72c41e057109dcfb56d3b8e1bc39739747",
-    ),
 }
 
 
@@ -1172,6 +1170,196 @@ def test_benchmark_size_bodies_are_byte_identical():
         if hashlib.sha256(body(kind, params, fmt)).hexdigest() != digest
     ]
     assert not changed, f"report bodies changed: {', '.join(changed)}"
+
+
+# The benchmark's seeded operations, rebuilt here from copies of its configs
+# and calls: the seed picks coefficients, phases and twist forms, drawn from
+# random.Random(f"{seed}:{tag}") in the benchmark's order.
+def _seeded(seed: int, tag: str) -> random.Random:
+    return random.Random(f"{seed}:{tag}")
+
+
+def _unit(rng: random.Random) -> complex:
+    return rng.uniform(0.3, 1.0) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+
+
+def _modes(coeffs: dict) -> dict:
+    return {"modes": [[k, coeffs[k].real, coeffs[k].imag] for k in sorted(coeffs)]}
+
+
+def _unit_modes(rng: random.Random, ks) -> dict:
+    return _modes({k: _unit(rng) for k in ks})
+
+
+def _laurent(seed: int) -> dict:
+    """z^-2 (1 + a tail of l1 mass 0.6): degree -2."""
+    rng = _seeded(seed, "laurent")
+    tail = {k: _unit(rng) for k in range(-3, 4) if k}
+    scale = 0.6 / sum(abs(v) for v in tail.values())
+    return _modes({k - 2: v * scale for k, v in tail.items()} | {-2: 1.0 + 0j})
+
+
+def _twist_3(seed: int) -> dict:
+    rng = _seeded(seed, "twist3")
+    upper = [[rng.uniform(-1.0, 1.0) if j > i else 0.0 for j in range(3)] for i in range(3)]
+    return {"matrix": [[upper[i][j] - upper[j][i] for j in range(3)] for i in range(3)]}
+
+
+def _residue_pipeline(seed: int):
+    """operator_product -> hardy_compress -> residue_sequence -> classify_limit,
+    the classifier on the real partial sums inside the safe band."""
+    rng = _seeded(seed, "residue")
+    a, b = (symbol_from_obj(_unit_modes(rng, range(-16, 17))) for _ in range(2))
+    n, degree = 512, 16
+    product = operator_product(
+        [szego_projection(n), commutator_matrix(a, n), commutator_matrix(b, n)]
+    )
+    residue = residue_sequence(hardy_compress(product, n))
+    return residue.partial_sums, classify_limit(residue.partial_sums.real[degree : n - degree])
+
+
+def _bench_outputs(seed: int) -> dict:
+    """name -> a function giving the benchmark operation's output at ``seed``."""
+    def config(kind, params, fmt="json"):
+        return lambda: emit_report(run_experiment(ExperimentConfig(kind, params)), fmt)
+
+    def sweep(alpha, gamma, n, rule, **window):
+        params = {"alpha": alpha, "gamma": gamma, "N": n, "c": rule, **window}
+        return config("SingularValueSweep", params)
+
+    def kernel(n):
+        rng = _seeded(seed, f"kernel{n}")
+        a, b = _unit_modes(rng, (1, 2, 3, -2)), _unit_modes(rng, (-1, -2, -3, 2))
+        return config("KernelCheck", {"a": a, "b": b, "N": n, "r": 1.0 - 1e-8})
+
+    w = {"weierstrass": {"alpha": 0.5, "gamma": 2, "c": "constant:1", "cutoff": 2**14}}
+    t = _seeded(seed, "twist2").uniform(-math.pi, math.pi)
+    rules = {"block-indicator": "block-indicator:2", "sqrt-log-cos": "sqrt-log-cos",
+             "constant": "constant:1"}
+    rng = _seeded(seed, "dense")
+    dense = {k: _unit(rng) for k in range(-16, 17)}
+    dense_b = _modes({-k: v.conjugate() for k, v in dense.items()})
+    trig = _unit_modes(_seeded(seed, "trig-hankel"), range(-24, 25))
+    return {
+        **{f"sweep-alpha{alpha}": sweep(alpha, 2, 2048, "constant:1", k_lo=16, k_hi=512)
+           for alpha in (0.3, 0.5, 0.7)},
+        "sweep-gamma3-block": sweep(0.5, 3, 1024, "block-indicator:2", k_lo=1, k_hi=8),
+        "sweep-sqrt-log-cos": sweep(0.5, 2, 1024, "sqrt-log-cos"),
+        "winding-z3": config("Winding", {"a": "z^3", "N": 1024}),
+        "winding-laurent": config("Winding", {"a": _laurent(seed), "N": 1024}),
+        "hankel-trig-poly": lambda: singular_values(hankel_matrix(symbol_from_obj(trig), 1024)).mu,
+        "kernel-N64": kernel(64),
+        "kernel-N128": kernel(128),
+        "hn-m8": config("HnCheck", {"m_max": 8, "N": 2**14, "t_points": 64}),
+        "weierstrass-2^40": config(
+            "WeierstrassTrace", {"gamma": 2, "c": "constant:1", "d": "constant:1", "N": "2**40"}
+        ),
+        "fourier-symmetric-lacunary": config(
+            "FourierTrace", {"a": LACUNARY_2_16, "b": LACUNARY_2_16, "N": 2**16, "symmetric": True}
+        ),
+        "holder-norm-star": lambda: holder_norm_star(symbol_from_obj(w), 0.5, 2),
+        "besov-norm": lambda: besov_norm(symbol_from_obj(w), 0.5, 2, 2, 2),
+        "nctorus-n2-N512": config("NcTorus", {
+            "n": 2, "N": 512, "T": "grading-dirac", "theta": {"matrix": [[0.0, t], [-t, 0.0]]},
+            "symbols": [{"pair": [1, 0]}, {"pair": [0, 1]}, {"pair": [1, 1]}],
+        }),
+        "nctorus-n3-N256": config("NcTorus", {
+            "n": 3, "N": 256, "T": "dirac", "theta": _twist_3(seed),
+            "symbols": [{"pair": [1, 0, 0]}, {"pair": [0, 1, 1]}, {"pair": [1, 1, 1]}],
+        }),
+        "measurability-4^10": config("Measurability", {
+            "N": "4**10", "entries": [{"label": label, "c": c} for label, c in rules.items()],
+        }),
+        **{f"fourier-dense-2^17-{fmt}": config(
+            "FourierTrace", {"a": _modes(dense), "b": dense_b, "N": 2**17}, fmt
+        ) for fmt in ("json", "csv")},
+        "residue-pipeline": lambda: _residue_pipeline(seed),
+    }
+
+
+def _digest(output) -> str:
+    """SHA-256 over a report's bytes, an array's bytes or a number's repr,
+    part by part for a tuple, as ``perfbench/checksums.py`` prints it."""
+    sha = hashlib.sha256()
+    for part in output if isinstance(output, tuple) else (output,):
+        if isinstance(part, bytes):
+            sha.update(part)
+        elif hasattr(part, "tobytes"):
+            sha.update(part.tobytes())
+        else:
+            sha.update(repr(part).encode())
+    return sha.hexdigest()
+
+
+# (seed, operation) -> (host-bound, digest): every operation at seed 7, and
+# at seed 1 those whose configs draw from the seed.  Host-bound outputs pass
+# through FFT, LAPACK or BLAS.
+BENCH_DIGESTS = {
+    (7, "sweep-alpha0.3"):
+        (True, "7173f82bd3803243ee9aeb7f02e5760cbacc93205dfc4febbc2c63a611add32e"),
+    (7, "sweep-alpha0.5"):
+        (True, "d2efa7e8fc55579b5f82782d1478dd90ee25c1e50d93ad988e25679cb03d1ded"),
+    (7, "sweep-alpha0.7"):
+        (True, "5f29b4401b5a7a84ab9ec3a4e74565e0f79ff810c1c94d3b6562e1e63be31ddb"),
+    (7, "sweep-gamma3-block"):
+        (True, "88edac2ab026b162abd458d4639b3d615925b318ab95be83dddf4361eb0ce589"),
+    (7, "sweep-sqrt-log-cos"):
+        (True, "d6847781a0140965f41fe3ead8768da5289f3abd3ee381cc0e67a86d377ba5a4"),
+    (7, "winding-z3"): (True, "dae89b35783d6d3fd8afccee0cbeb325f27a41ab5571fc00fe98cae41c898074"),
+    (7, "winding-laurent"):
+        (True, "3d1448c40b1dd55cbaba5bc0fb7e917011388ca720e6b05cb0eeb31cf7530910"),
+    (7, "hankel-trig-poly"):
+        (True, "4a96ed971f989afaa08e212e517f257ccba14bba98a800a1ce3d58f949e9c995"),
+    (7, "kernel-N64"): (True, "7bcfb89f579315e0b8215a30bf1718831ce4b689e18e394838729f95c035c2d0"),
+    (7, "kernel-N128"): (True, "e3a2e9f46828e710026f1c2311644702f9fb2317cc942b34d77667fa24a67dea"),
+    (7, "hn-m8"): (False, "34def6dd20fcb3ffa82552d92379eb72c41e057109dcfb56d3b8e1bc39739747"),
+    (7, "weierstrass-2^40"):
+        (True, "5dd8a6f57049818b40f0aa8969c34e0dae5a264ec00afdd080f7eb59a7328475"),
+    (7, "fourier-symmetric-lacunary"):
+        (False, "c5eb5b0e9f19f74c924254985219a70e2a02571661662d10efa5336d13938f2b"),
+    (7, "holder-norm-star"):
+        (False, "c9381a9f004e0c6c76ca65efc485ef9e10b52cd8a45a196f34f71bd0a34339d9"),
+    (7, "besov-norm"): (False, "3196b937dabac14c719dffb150851992badf7ebc57ec501c103e6892db577334"),
+    (7, "nctorus-n2-N512"):
+        (True, "d9c22e90d44bf06ff8d243ed6320b718d2c86b0dc855aeca7ae789d6fcf101e4"),
+    (7, "nctorus-n3-N256"):
+        (True, "197c9b026b3737b50a5cdcc9008dec479855d7461b86ef64bbf333d508ef2371"),
+    (7, "measurability-4^10"):
+        (False, "49ba5066c75113a92d1598352115c7eb9c1b520d0a7358cf7267fbc844f8f52c"),
+    (7, "fourier-dense-2^17-json"):
+        (False, "b5be9246ab7ee8d08e320ac73781e8cbbd7a2ffa65a742a95ccc8b35a9eb6700"),
+    (7, "fourier-dense-2^17-csv"):
+        (False, "e8cae17b4636e22e22d416259a38fc242a30c6830277d2b99f3592874d56de03"),
+    (7, "residue-pipeline"):
+        (True, "a9f0a7dd1e10e6f6257a29d094dff783120dd6022c78cfb153afd7e89e791b0f"),
+    (1, "winding-laurent"):
+        (True, "b226a39730c5ad784ae44adef92df7f5fdc0f5801774c8c4d24f2de903074bed"),
+    (1, "hankel-trig-poly"):
+        (True, "300ab59a4d0fcd59b2f3b40e960427a64734028c24bd9eb3686e766b06d1e07a"),
+    (1, "kernel-N64"): (True, "6760028119b4df52a062ca5974da88cd25ca2a27884b4803357684bbb84074f6"),
+    (1, "kernel-N128"): (True, "449226a0085124e0074f4fe8ce42ba50c23cd7c6872b9acad80d0fd5d9a7a15d"),
+    (1, "nctorus-n2-N512"):
+        (True, "47b2329e6a096afa8dac658807afefd1da72a91d2ceeb9470aa32bf0710f1bc8"),
+    (1, "nctorus-n3-N256"):
+        (True, "68442138d7f308f16315919a2b6d9201eb6330c3f06267f6ee2636c24ed7cc22"),
+    (1, "fourier-dense-2^17-json"):
+        (False, "bfb87f83e13aa6ce08249fc1ae4460b1b08434ce97ed77a63fd348da998624c1"),
+    (1, "fourier-dense-2^17-csv"):
+        (False, "af576034c229c255dee916536199d1cdd938d16a9e2fcbf3d5699beee0861fc6"),
+    (1, "residue-pipeline"):
+        (True, "c61c12a6ca0a5ac5d3793f566114ef7aebb3f19877cc945ebb030267ea8a5c03"),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_seeded_benchmark_outputs_are_byte_identical(seed):
+    outputs = _bench_outputs(seed)
+    changed = [
+        f"{name}{' (host-bound)' if host_bound else ''}"
+        for (at, name), (host_bound, digest) in BENCH_DIGESTS.items()
+        if at == seed and _digest(outputs[name]()) != digest
+    ]
+    assert not changed, f"outputs at seed {seed} changed: {', '.join(changed)}"
 
 
 # Every name the package exports, with what needs it: a CLI kind, an
@@ -1202,7 +1390,7 @@ PUBLIC_SURFACE = {
     "WeierstrassParams": "SingularValueSweep; benchmark",
     "WindingReport": "returned by winding_report",
     "besov_norm": "benchmark call besov-norm",
-    "cesaro_mean": "Measurability; criterion 4",
+    "cesaro_mean": "criterion 4",
     "circle_grid": "built on by integral_trace and invert_symbol",
     "classify_limit": "Measurability; criterion 4; benchmark",
     "clifford_rep": "NcTorus; criteria 9 and 10",
@@ -1231,13 +1419,13 @@ PUBLIC_SURFACE = {
     "residue_sequence": "criterion 2; benchmark",
     "sample_to_symbol": "built on by invert_symbol",
     "singular_values": "SingularValueSweep; criteria 5 and 6; benchmark",
-    "sphere_kernel": "criterion 11; benchmark",
+    "sphere_kernel": "criterion 11",
     "sphere_kernel_derivative": "criterion 11",
     "symbol_eval": "built on by integral_trace and invert_symbol; benchmark",
     "symbol_from_json_obj": "every symbol parameter; benchmark",
     "symmetric_fourier_trace": "FourierTrace --symmetric",
     "szego_projection": "criteria 1 and 2; benchmark",
-    "torus_trace_partial": "NcTorus; criterion 10",
+    "torus_trace_partial": "criterion 10",
     "twist_phase": "built on by torus_trace_partial",
     "weak_quasinorm": "SingularValueSweep; criterion 5",
     "weierstrass_symbol": "SingularValueSweep; criterion 5; benchmark",
@@ -1265,7 +1453,7 @@ def test_lacunary_bases_are_refused_and_scalars_appended_in_one_place():
     for path in sorted(Path(circletrace.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
-                isinstance(inner, ast.Raise) and "gamma must be" in ast.unparse(inner)
+                isinstance(inner, ast.Raise) and "must be an integer >= 2" in ast.unparse(inner)
                 for inner in ast.walk(node)
             ):
                 refusers.append((path.name, node.name))
@@ -1277,8 +1465,26 @@ def test_lacunary_bases_are_refused_and_scalars_appended_in_one_place():
                 and node.func.value.attr == "scalars"
             ):
                 appenders.add(path.name)
-    assert refusers == [("fourier.py", "gamma_powers")]
+    # the lacunary base and the policy's window count share one integer rule
+    assert refusers == [("fourier.py", "_integer_from_two")]
     assert appenders == {"report.py"}
+
+
+def test_parameter_rules_are_written_once():
+    # each rule lives in the library module that owns its math, and the kind's
+    # parameter table calls it there before the cost
+    source = "".join(
+        path.read_text() for path in sorted(Path(circletrace.__file__).parent.glob("*.py"))
+    )
+    for rule in (
+        "at least one symbol is required",
+        "symbol dimension does not match the representation",
+        "twist form dimension does not match the representation",
+        "exceeds the kernel range",
+        "min(512, N // 4)",
+    ):
+        assert source.count(rule) == 1, rule
+    assert "too coarse for band" not in source
 
 
 def test_resource_limits_are_read_and_refused_in_one_place():

@@ -287,13 +287,13 @@ def test_policy_length_check_forms_no_power_far_above_the_size():
         ClassifyPolicy(window_count=10**12).check_length(2**62)
 
 
-@pytest.mark.parametrize("base", [2.5, 1, 0, True, -3])
+@pytest.mark.parametrize("base", [2.5, 1, 0, True, -3, math.nan, math.inf, -math.inf])
 def test_policy_refuses_a_window_base_that_is_not_an_integer_from_two(base):
     with pytest.raises(ParameterError, match=f"integer >= 2, got {base}"):
         ClassifyPolicy(window_base=base)
 
 
-@pytest.mark.parametrize("count", [2.5, 3.5, 1, True, False])
+@pytest.mark.parametrize("count", [2.5, 3.5, 1, True, False, math.nan, math.inf, -math.inf])
 def test_policy_refuses_a_window_count_that_is_not_an_integer_from_two(count):
     with pytest.raises(ParameterError, match=f"window_count must be an integer >= 2, got {count}"):
         ClassifyPolicy(window_count=count)
@@ -314,6 +314,7 @@ def test_policy_takes_an_integral_window_base_of_any_type(base):
     expected = classify_limit(x, ClassifyPolicy(window_base=3))
     assert verdict.kind is expected.kind is VerdictKind.CONVERGENT
     assert (verdict.limit, verdict.windows_used) == (expected.limit, expected.windows_used)
+    assert type(verdict.policy.window_base) is int
     with pytest.raises(ParameterError, match="too short"):
         ClassifyPolicy(window_base=base).check_length(3**7 - 1)
 

@@ -10,6 +10,7 @@ from circletrace.fourier import (
     WeierstrassParams,
     circle_grid,
     constant_symbol,
+    gamma_powers,
     hardy_split,
     mode_symbol,
     sample_to_symbol,
@@ -176,6 +177,12 @@ class TestCoefficientRule:
             CoefficientRule(extension="block-indicator", base=1)
         with pytest.raises(ParameterError):
             CoefficientRule(head=(float("nan"),), extension="constant")
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 2.5, 1, True, "3"])
+def test_gamma_powers_refuses_a_base_that_is_not_an_integer_from_two(gamma):
+    with pytest.raises(ParameterError, match=f"gamma must be an integer >= 2, got {gamma}"):
+        gamma_powers(gamma, 10)
 
 
 @pytest.mark.parametrize("k", [True, False, 1.0, "1", np.float64(2.0)])

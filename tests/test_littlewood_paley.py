@@ -196,7 +196,7 @@ def gathered_lp_norms(a, gamma, size):
     for absn, modes, coeffs in _norm_levels(a, gamma):
         values = np.zeros(size, dtype=complex)
         for k, c in zip(modes.tolist(), coeffs.tolist()):
-            values += c * roots[j * (k % size) % size]
+            values += np.multiply(c, roots[j * (k % size) % size])
         magnitudes = np.abs(values)
         norms = {p: float(np.mean(magnitudes ** float(p)) ** (1.0 / p)) for p in (1, 2)}
         levels.append((absn, {**norms, INF: float(np.max(magnitudes))}))
@@ -281,7 +281,7 @@ def test_norms_reject_grids_whose_phase_indices_pass_int64():
         holder_norm_star(edge, 0.5, 2)
 
 
-@pytest.mark.parametrize("gamma", [2.5, True])
+@pytest.mark.parametrize("gamma", [2.5, True, math.nan, math.inf])
 def test_norms_and_hats_refuse_a_base_that_is_not_an_integer_from_two(gamma):
     a = FourierSymbol({1: 1.0, 4: 0.5})
     calls = [
@@ -292,6 +292,14 @@ def test_norms_and_hats_refuse_a_base_that_is_not_an_integer_from_two(gamma):
     for call in calls:
         with pytest.raises(ParameterError, match=f"gamma must be an integer >= 2, got {gamma}"):
             call()
+
+
+@pytest.mark.parametrize("n", [34, 35, 36])
+def test_an_integral_float_base_weighs_like_the_integer(n):
+    # above 2^53 the powers of 3.0 are rounded: block 34 gave its peak mode
+    # 3^34 the weight 0.9999999999999997, and block 35 dropped 3^34 + 1
+    modes = [3**n, 3**n - 1, 3**n + 1, 3 ** (n - 1) + 1]
+    assert hat_weights(n, 3.0, modes).tolist() == hat_weights(n, 3, modes).tolist()
 
 
 def test_besov_accepts_float_infinity():
@@ -334,8 +342,9 @@ def test_besov_22_generic_symbol_stays_comparable():
 def test_mode_values_pieces_equal_the_gather_bit_for_bit(gamma, size):
     # r = g = gcd(r, G) reads roots[::g], r = G - g reads roots[0] and then
     # roots[G-g], roots[G-2g], ..., and any other residue is gathered; the
-    # oracle is the gathered product a piece of several modes adds, pieces of
-    # 2^14 entries and more included, which numpy multiplies in place
+    # oracle is the scalar-first product of the gathered roots, pieces of
+    # 2^14 entries and more included, which ``c * <temporary>`` would form
+    # array first
     rng = np.random.default_rng(gamma * size)
     roots = np.exp(1j * (2.0 * np.pi * np.arange(size) / size))
     levels = [gamma**n for n in range(12) if gamma**n < size]
@@ -346,7 +355,7 @@ def test_mode_values_pieces_equal_the_gather_bit_for_bit(gamma, size):
         kinds.add("r = g" if r == g else "r = G - g" if r == size - g else "gathered")
         for c in (complex(*rng.standard_normal(2)), -0.75 + 0j, complex(0.0, -1.0)):
             values = _mode_values(roots, r, c)
-            gathered = c * roots[np.arange(size // g) * r % size]
+            gathered = np.multiply(c, roots[np.arange(size // g) * r % size])
             assert values.view(np.uint64).tolist() == gathered.view(np.uint64).tolist()
     assert kinds == {"r = g", "r = G - g", "gathered"}
 
