@@ -170,20 +170,29 @@ def _read_json(path: str):
 _INT_EXPR = re.compile(r"^\s*(\d+)\s*(?:\*\*|\^)\s*(\d+)\s*$")
 
 
+# Python prints no integer of more digits, so no report or message could echo one.
+_TOO_LONG = 10**4300
+
+
 def parse_int_expr(text) -> int:
-    """Accept plain integers and the power shorthands 2**40 / 2^40, never a bool or a float."""
+    """Accept plain integers and the power shorthands 2**40 / 2^40, never a bool,
+    a float or an integer too long to print; a power is refused before it is built."""
     if isinstance(text, bool):
         raise ParameterError(f"expected an integer, got {text!r}")
-    if isinstance(text, (int, np.integer)):
-        return int(text)
-    s = str(text)
-    match = _INT_EXPR.match(s)
-    if match:
-        return int(match.group(1)) ** int(match.group(2))
     try:
-        return int(s)
+        if isinstance(text, (int, np.integer)):
+            value = int(text)
+        elif match := _INT_EXPR.match(str(text)):
+            base, exponent = int(match.group(1)), int(match.group(2))
+            too_long = (base.bit_length() - 1) * exponent >= _TOO_LONG.bit_length()
+            value = _TOO_LONG if too_long else base**exponent
+        else:
+            value = int(str(text))
     except ValueError:
         raise ParameterError(f"cannot parse integer expression {text!r}")
+    if abs(value) >= _TOO_LONG:
+        raise ParameterError("an integer of more than 4300 digits is too long to echo")
+    return value
 
 
 def parse_float(value) -> float:
@@ -380,8 +389,9 @@ _KINDS: dict[str, _Kind] = {}
 def _kind(name: str, command: str, help: str, *params: Param, cost: Callable = lambda v: (),
           make: Callable = dict, config_file: bool = False):
     """Registers a runner, called with the typed params, as a kind; ``cost`` maps the
-    params to the (quantity, amount, Limits field) entries checked before it runs, and
-    ``make`` checks the params that only together can be invalid, before the cost."""
+    params to the (quantity, amount, Limits field) entries checked before it runs (what
+    it builds once its first entries pass, it may add to the params for the runner),
+    and ``make`` checks the params that only together can be invalid, before the cost."""
 
     def register(run):
         table = _Table(name, *params, make=make)
@@ -392,9 +402,15 @@ def _kind(name: str, command: str, help: str, *params: Param, cost: Callable = l
 
 
 def _short(amount: int) -> str:
-    """An amount in full up to 18 digits, else as d.ddde+X cut from its decimal digits."""
-    digits = str(amount)
-    return digits if len(digits) <= 18 else f"{digits[0]}.{digits[1:4]}e+{len(digits) - 1}"
+    """An amount in full up to 18 digits, else as d.ddde+X cut from its decimal
+    digits, found without printing them, which Python refuses past 4300."""
+    if amount < 10**18:
+        return str(amount)
+    exponent = int((amount.bit_length() - 1) * math.log10(2))
+    while 10 ** (exponent + 1) <= amount:
+        exponent += 1
+    lead = amount // 10 ** (exponent - 3)
+    return f"{lead // 1000}.{lead % 1000:03d}e+{exponent}"
 
 
 def _check_cost(limits: Limits, cost) -> None:
@@ -511,16 +527,25 @@ def _run_measurability(*, N, policy, entries, label, gamma, c, d) -> Report:
 
 def _sweep_params(**v) -> dict:
     """The params, once an explicit fit window is checked against the cap on
-    the default k_hi (a k_lo the cap refuses fails for every rank), plus that
-    cap and W(alpha, gamma, c) to 2N with its route: every mode is a real power
-    of gamma, so with none in (N, 2N) the block is H_P (+) 0, in closed form."""
+    the default k_hi (a k_lo the cap refuses fails for every rank), plus that cap."""
     N = v["N"]
     cap = min(512, N // 4)
     if v["k_lo"] is not None or v["k_hi"] is not None:
         hi = cap if v["k_hi"] is None else v["k_hi"]
         check_fit_window(_default_k_lo(v["k_lo"], hi), hi, N)
+    return {**v, "cap": cap}
+
+
+def _sweep_cost(v: dict):
+    """The sweep's cost; only once N has passed is W(alpha, gamma, c) to 2N built,
+    and handed to the runner in the params with its route: every mode is a real
+    power of gamma, so with none in (N, 2N) the block is H_P (+) 0, in closed form."""
+    N = v["N"]
+    yield "singular values", N, "max_tuples"
     symbol = weierstrass_symbol(WeierstrassParams(v["alpha"], v["gamma"], v["c"]), 2 * N)
-    return {**v, "cap": cap, "symbol": symbol, "closed": symbol.restricted(2 * N - 1).n_max <= N}
+    v.update(symbol=symbol, closed=symbol.restricted(2 * N - 1).n_max <= N)
+    if not v["closed"]:
+        yield "dense matrix rows", N, "max_matrix"
 
 
 @_kind(
@@ -530,11 +555,7 @@ def _sweep_params(**v) -> dict:
           help="quasinorm exponent, default: 1/alpha"),
     Param("k_lo", parse_int_expr, None, help="default: 16, or max(1, k_hi // 2) when k_hi < 18"),
     Param("k_hi", parse_int_expr, None, help="default: min(512, N/4, numerical rank)"),
-    cost=lambda v: [
-        ("singular values", v["N"], "max_tuples"),
-        *([] if v["closed"] else [("dense matrix rows", v["N"], "max_matrix")]),
-    ],
-    make=_sweep_params,
+    cost=_sweep_cost, make=_sweep_params,
 )
 def _run_singular_sweep(*, alpha, gamma, c, N, p, k_lo, k_hi, cap, symbol, closed) -> Report:
     if closed:

@@ -194,7 +194,8 @@ def weierstrass_symbol(params: WeierstrassParams, k_cutoff: int) -> FourierSymbo
     powers = gamma_powers(params.gamma, k_cutoff)
     coeffs: dict[int, complex] = {}
     for n, (power, cn) in enumerate(zip(powers, params.c.values(len(powers)))):
-        amp = params.gamma ** (-params.alpha * n) * cn
+        # gamma^0 is 1.0 without turning gamma, which may pass the float range, to a float
+        amp = (params.gamma ** (-params.alpha * n) if n else 1.0) * cn
         if amp != 0.0:
             coeffs[power] = complex(amp)
             coeffs[-power] = complex(amp)

@@ -57,6 +57,20 @@ def test_parse_int_expr():
         parse_int_expr("two")
 
 
+# Python prints no integer of more than 4300 digits, so none can be echoed;
+# a power that long is refused before it is built (7**10**7 takes seconds).
+@pytest.mark.parametrize(
+    "text", ["10**4300", "7**10000000", "9" * 4301, 10**4300],
+    ids=["power", "power-never-built", "digits", "int"],
+)
+def test_parse_int_expr_refuses_integers_too_long_to_echo(text):
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match="more than 4300 digits|cannot parse"):
+        parse_int_expr(text)
+    assert time.perf_counter() - start < 1.0
+    assert parse_int_expr("10**4299") == 10**4299
+
+
 def test_rule_parsing():
     assert rule_from_obj("constant:2.5").head == (2.5,)
     assert rule_from_obj("block-indicator:3").base == 3
@@ -224,6 +238,10 @@ def test_a_sweep_builds_its_symbol_once(N, monkeypatch):
     monkeypatch.setattr(cli, "weierstrass_symbol", counted)
     run_experiment(ExperimentConfig("SingularValueSweep", {"N": N, "k_lo": 4, "k_hi": 16}))
     assert len(built) == 1
+    refused = ExperimentConfig("SingularValueSweep", {"N": N}, limits=cli.Limits(N, N - 1))
+    with pytest.raises(ResourceLimitError):  # nor is one built for an N the cost refuses
+        run_experiment(refused)
+    assert len(built) == 1
 
 
 def test_singular_sweep_default_window_stops_at_rank(tmp_path):
@@ -387,6 +405,13 @@ OVERSIZED = {
     "weierstrass-trace": (["weierstrass-trace", "--gamma", "2", "--N", "2**200"], 2),
     "nctorus": (["nctorus", "--config", "torus.json"], 3),
     "singular-sweep": (["singular-sweep", "--N", "2**24"], 3),
+    # N is refused before W(alpha, gamma, c) to 2N, 14,000 powers here, is built
+    "singular-sweep-huge-N": (["singular-sweep", "--N", "2**14000"], 3),
+    "singular-sweep-N-too-long": (["singular-sweep", "--N", "2**200000"], 2),
+    # an amount of 8,000 digits, past what Python prints, is shortened all the same
+    "hn-amount-past-4300-digits": (["hn", "--m-max", "10**4000", "--N", "10**4000"], 3),
+    # gamma past the float range: W has its mode 1 only, and no fit window
+    "singular-sweep-huge-gamma": (["singular-sweep", "--gamma", "2**1100"], 2),
     # oversized and invalid: the parameter error comes before the cost
     "winding-N-oversized-grid": (["winding", "--a", "z^1000000000", "--N", "2**200"], 2),
     "singular-sweep-window-oversized": (["singular-sweep", "--N", "2**24", "--k-lo", "0"], 2),
@@ -452,7 +477,7 @@ TORUS_COSTS = {
             {},
             "candidate points exceed max_tuples = 10000000",
         )
-        for n, N in [(2, "2**30"), (8, "2**40"), (1, "10**400")]
+        for n, N in [(2, "2**30"), (8, "2**40"), (1, "10**400"), (8, "10**4000")]
     },
 }
 
@@ -1041,7 +1066,9 @@ def oversized_configs(draw):
     names = [p.name for p in cli._KINDS[kind].params.params if p.parse in integers]
     params = copy.deepcopy(SMALL[kind])
     params[draw(st.sampled_from(names))] = draw(
-        st.one_of(st.integers(24, 400).map(lambda e: f"2**{e}"), st.integers(2**24, 2**80))
+        st.one_of(
+            st.integers(24, 20_000).map(lambda e: f"2**{e}"), st.integers(2**24, 2**80)
+        )
     )
     return {"kind": kind, "params": params}
 
