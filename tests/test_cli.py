@@ -477,7 +477,7 @@ TORUS_COSTS = {
             {},
             "candidate points exceed max_tuples = 10000000",
         )
-        for n, N in [(2, "2**30"), (8, "2**40"), (1, "10**400"), (8, "10**4000")]
+        for n, N in [(2, "2**30"), (8, "2**40"), (1, "10**400")]
     },
 }
 
