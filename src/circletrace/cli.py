@@ -32,7 +32,7 @@ import numpy as np
 
 from . import closed_forms as cf
 from .dixmier import ClassifyPolicy, classify_limit, divide_by_counts, log_extrapolate
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError, ResourceLimitError, short_int
 from .fourier import (
     CoefficientRule,
     FourierSymbol,
@@ -225,7 +225,7 @@ def parse_size(text) -> int:
     """A positive integer, in any form ``parse_int_expr`` accepts."""
     value = parse_int_expr(text)
     if value < 1:
-        raise ParameterError(f"must be a positive integer, got {value}")
+        raise ParameterError(f"must be a positive integer, got {short_int(value)}")
     return value
 
 
@@ -233,7 +233,7 @@ def parse_int64_size(text) -> int:
     """A positive integer below 2^63, so that it indexes int64 arrays."""
     value = parse_size(text)
     if value >= 2**63:
-        raise ParameterError(f"must be below 2**63, the int64 range, got {_short(value)}")
+        raise ParameterError(f"must be below 2**63, the int64 range, got {short_int(value)}")
     return value
 
 
@@ -401,24 +401,14 @@ def _kind(name: str, command: str, help: str, *params: Param, cost: Callable = l
     return register
 
 
-def _short(amount: int) -> str:
-    """An amount in full up to 18 digits, else as d.ddde+X cut from its decimal
-    digits, found without printing them, which Python refuses past 4300."""
-    if amount < 10**18:
-        return str(amount)
-    exponent = int((amount.bit_length() - 1) * math.log10(2))
-    while 10 ** (exponent + 1) <= amount:
-        exponent += 1
-    lead = amount // 10 ** (exponent - 3)
-    return f"{lead // 1000}.{lead % 1000:03d}e+{exponent}"
-
-
 def _check_cost(limits: Limits, cost) -> None:
     """ResourceLimitError at the first entry whose amount exceeds its limit."""
     for quantity, amount, name in cost:
         limit = getattr(limits, name)
         if amount > limit:
-            raise ResourceLimitError(f"{_short(amount)} {quantity} exceed {name} = {_short(limit)}")
+            raise ResourceLimitError(
+                f"{short_int(amount)} {quantity} exceed {name} = {short_int(limit)}"
+            )
 
 
 def _weierstrass_trace_params(**v) -> dict:
@@ -429,8 +419,8 @@ def _weierstrass_trace_params(**v) -> dict:
                              f"exact only at alpha = 1/2; got alpha = {v['alpha']}")
     powers = gamma_powers(v["gamma"], v["N"])
     if (points := len(powers) - (powers[-1] == v["N"])) < 16:
-        raise ParameterError(f"WeierstrassTrace: N: {v['N']} gives {points} trace points "
-                             f"at gamma = {v['gamma']}; the 1/log fit needs 16")
+        raise ParameterError(f"WeierstrassTrace: N: {short_int(v['N'])} gives {points} trace "
+                             f"points at gamma = {short_int(v['gamma'])}; the 1/log fit needs 16")
     return v
 
 
@@ -687,25 +677,33 @@ def _run_nctorus(*, n: CliffordRep, N, T, theta, symbols) -> Report:
     return report
 
 
+def _hn_params(**v) -> dict:
+    """The params, once the derivative products (N+m-1)!/N! fit float64."""
+    cf._check_derivative_products(v["N"], v["m_max"])
+    return v
+
+
 @_kind(
     "HnCheck", "hn", "sphere kernel consistency sweep",
     Param("m_max", parse_size, 4), Param("N", parse_size, 64), Param("t_points", parse_size, 64),
     cost=lambda v: [
         ("kernel coefficients and values", (v["N"] + 1 + v["t_points"]) * v["m_max"], "max_tuples")
     ],
+    make=_hn_params,
 )
 def _run_hn_check(*, m_max, N, t_points) -> Report:
     t_grid = np.linspace(0.0, 1.0, t_points + 1)[1:]
     report = Report(kind="HnCheck")
     report.inputs = {"m_max": m_max, "N": N, "t_points": t_points}
     orders = range(1, m_max + 1)
-    # refuses derivative products beyond float64 before any work
     binom_form, derivative_form = cf.sphere_kernel_routes(t_grid, N, orders)
     # Not movable before the pass: overflow turns on each of its IEEE steps, so
     # a closed-form bound refuses runs that succeed near the edge, and the
     # exact rule replays the worst lane's N + 1 steps, as long as the pass.
     if not np.isfinite(derivative_form).all():
-        raise ParameterError(f"derivative route overflows float64 at N = {N}, m up to {m_max}")
+        raise ParameterError(
+            f"derivative route overflows float64 at N = {short_int(N)}, m up to {short_int(m_max)}"
+        )
     gaps = np.max(np.abs(binom_form - derivative_form), axis=1)
     worst = 0.0
     for m, gap in zip(orders, gaps.tolist()):

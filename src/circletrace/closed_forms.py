@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, short_int
 from .fourier import (
     CoefficientRule,
     FourierSymbol,
@@ -241,9 +241,6 @@ def integral_trace(a: FourierSymbol, b: FourierSymbol, params: KernelParams) -> 
     return complex(-total / math.log(n))
 
 
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
 def _sphere_orders(n_trunc: int, m) -> list[int]:
     orders = np.atleast_1d(np.asarray(m))
     integral = orders.dtype.kind in "iu" or (
@@ -254,13 +251,28 @@ def _sphere_orders(n_trunc: int, m) -> list[int]:
     return orders.astype(np.int64).tolist()
 
 
+def _check_derivative_products(n_trunc: int, m_top: int) -> None:
+    """Refuse orders up to ``m_top`` whose largest derivative product,
+    (N+m-1)!/N! = (N+1)(N+2)...(N+m-1), exceeds float64, for any N.
+
+    The product is formed exactly, factor by factor, and stops once it
+    passes: every factor after the first is at least 2, so that is within
+    1,025 factors, and the product never holds more than 1,024 bits plus
+    those of one factor.
+    """
+    product = 1
+    for factor in range(n_trunc + 1, n_trunc + m_top):
+        product *= factor
+        if product > sys.float_info.max:
+            raise ParameterError(
+                f"derivative products (N+m-1)!/N! overflow float64 at N = {short_int(n_trunc)}, "
+                f"m up to {short_int(m_top)}"
+            )
+
+
 def _derivative_scales(n_trunc: int, ms: list[int]) -> np.ndarray:
     """m * (m-1)! per order, once (N+m-1)!/N! is bounded against float64."""
-    if math.lgamma(n_trunc + max(ms)) - math.lgamma(n_trunc + 1) > _LOG_FLOAT_MAX:
-        raise ParameterError(
-            f"derivative products (N+m-1)!/N! overflow float64 at N = {n_trunc}, "
-            f"m up to {max(ms)}"
-        )
+    _check_derivative_products(n_trunc, max(ms))
     return _as_floats([mi * math.factorial(mi - 1) for mi in ms], n_trunc, ms)
 
 
@@ -270,7 +282,8 @@ def _as_floats(values, n_trunc: int, ms: list[int]) -> np.ndarray:
         return np.asarray(values, dtype=object).astype(float)
     except OverflowError:
         raise ParameterError(
-            f"sphere kernel constants overflow float64 at N = {n_trunc}, m up to {max(ms)}"
+            f"sphere kernel constants overflow float64 at N = {short_int(n_trunc)}, "
+            f"m up to {short_int(max(ms))}"
         ) from None
 
 

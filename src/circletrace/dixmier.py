@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BasisMismatchError, ParameterError
+from .errors import BasisMismatchError, ParameterError, short_int
 from .fourier import _integer_from_two, gamma_powers
 from .operators import OrderingRule, TruncatedOperator
 
@@ -122,8 +122,8 @@ class ClassifyPolicy:
         base = self.window_base
         if need * (base.bit_length() - 1) >= size.bit_length() or size < base**need:
             raise ParameterError(
-                f"sequence of length {size} is too short for "
-                f"{self.window_count} windows with base {self.window_base}"
+                f"sequence of length {short_int(size)} is too short for "
+                f"{short_int(self.window_count)} windows with base {short_int(self.window_base)}"
             )
 
 

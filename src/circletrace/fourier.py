@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, short_int
 
 __all__ = [
     "FourierSymbol",
@@ -173,7 +173,8 @@ def _integer_from_two(value, name: str) -> int:
             return int(value)
     except (TypeError, ValueError, OverflowError):  # nan, inf, not a number
         pass
-    raise ParameterError(f"{name} must be an integer >= 2, got {value}")
+    shown = short_int(value) if isinstance(value, int) else value
+    raise ParameterError(f"{name} must be an integer >= 2, got {shown}")
 
 
 def gamma_powers(gamma: int, limit: int) -> list[int]:

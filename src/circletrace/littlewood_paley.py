@@ -19,13 +19,14 @@ back to all G entries, so it is bit for bit the full-grid mean.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator
 
 import numpy as np
 
 from .errors import ParameterError
-from .fourier import FourierSymbol, _integer_from_two, gamma_powers
+from .fourier import FourierSymbol, _integer_from_two, circle_grid, gamma_powers
 
 __all__ = [
     "INF",
@@ -98,6 +99,18 @@ def _norm_levels(
                 yield absn, modes[on][kept], coeffs[kept]
 
 
+@functools.lru_cache(maxsize=1)
+def _roots(size: int) -> np.ndarray:
+    """exp(i * theta_j) at the ``circle_grid(size)`` angles, read-only.
+
+    One table of 16 * size bytes is kept for the next norm call at this size;
+    a call at another size replaces it.
+    """
+    roots = np.exp(1j * circle_grid(size))
+    roots.setflags(write=False)
+    return roots
+
+
 def _mode_values(roots: np.ndarray, r: int, c: complex) -> np.ndarray:
     """c * roots[j * r % G] for j < G / gcd(r, G), with G = len(roots): one
     period of a mode's grid values.
@@ -152,7 +165,7 @@ def besov_norm(a: FourierSymbol, t: float, p, q, gamma: int) -> float:
     # one-mode piece is its one period of products.  The finite-p mean tiles
     # |v|^p back to the whole grid, the very array a full-grid mean sums, so
     # np.mean keeps its pairwise order and its bits.
-    roots = np.exp(1j * (2.0 * np.pi * np.arange(size) / size))
+    roots = _roots(size)
     per_level = []
     for absn, modes, coeffs in _norm_levels(a, gamma):
         residues = [k % size for k in modes.tolist()]

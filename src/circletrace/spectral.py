@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SpectralError
+from .errors import ParameterError, SpectralError, short_int
 from .fourier import FourierSymbol, gamma_powers
 from .operators import TruncatedOperator
 
@@ -119,12 +119,11 @@ def weak_quasinorm(spectrum: SingularSpectrum, p: float) -> float:
 def check_fit_window(k_lo: int, k_hi: int, length: int) -> None:
     """Refuse a fit window [k_lo, k_hi) outside 1 <= k_lo < k_hi <= length,
     or one that holds a single index."""
+    window = f"window [{short_int(k_lo)}, {short_int(k_hi)})"
     if not (1 <= k_lo < k_hi <= length):
-        raise ParameterError(
-            f"window [{k_lo}, {k_hi}) out of range for spectrum of length {length}"
-        )
+        raise ParameterError(f"{window} out of range for spectrum of length {short_int(length)}")
     if k_hi - k_lo < 2:
-        raise ParameterError(f"window [{k_lo}, {k_hi}) holds one index; a slope needs two")
+        raise ParameterError(f"{window} holds one index; a slope needs two")
 
 
 def decay_slope(spectrum: SingularSpectrum, k_lo: int, k_hi: int) -> float:

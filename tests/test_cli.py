@@ -34,7 +34,7 @@ from circletrace.cli import (
     symbol_from_obj,
 )
 from circletrace.dixmier import cesaro_mean, classify_limit, residue_sequence
-from circletrace.errors import ParameterError, ResourceLimitError
+from circletrace.errors import ParameterError, ResourceLimitError, short_int
 from circletrace.fourier import CoefficientRule, weierstrass_symbol
 from circletrace.littlewood_paley import besov_norm, holder_norm_star
 from circletrace.operators import (
@@ -408,8 +408,9 @@ OVERSIZED = {
     # N is refused before W(alpha, gamma, c) to 2N, 14,000 powers here, is built
     "singular-sweep-huge-N": (["singular-sweep", "--N", "2**14000"], 3),
     "singular-sweep-N-too-long": (["singular-sweep", "--N", "2**200000"], 2),
-    # an amount of 8,000 digits, past what Python prints, is shortened all the same
-    "hn-amount-past-4300-digits": (["hn", "--m-max", "10**4000", "--N", "10**4000"], 3),
+    # an amount of 8,000 digits: the overflow of (N+m-1)!/N! is refused before the cost
+    "hn-amount-past-4300-digits": (["hn", "--m-max", "10**4000", "--N", "10**4000"], 2),
+    "hn-overflow-oversized": (["hn", "--N", "2000", "--m-max", "170", "--t-points", "2**30"], 2),
     # gamma past the float range: W has its mode 1 only, and no fit window
     "singular-sweep-huge-gamma": (["singular-sweep", "--gamma", "2**1100"], 2),
     # oversized and invalid: the parameter error comes before the cost
@@ -511,6 +512,34 @@ def test_resource_messages_shorten_amounts_past_18_digits(N, max_tuples, shown, 
                                 "limits": {"max_tuples": max_tuples}}))
     assert main(["run", "--config", str(path)]) == 3
     assert _stderr_line(capsys) == f"resource limit: {shown}"
+
+
+def test_short_int_cuts_integers_past_what_python_prints():
+    assert short_int(10**8000) == "1.000e+8000"
+    assert short_int(-(2**1100)) == "-1.358e+331"
+    assert short_int(10**18 - 1) == "999999999999999999"
+
+
+# Parameter messages that echo a user's integer past the float range: one
+# short line each, as resource messages are.
+LONG_INTEGER_REFUSALS = {
+    "sweep-k-lo": (["singular-sweep", "--k-lo", "2**1100"], "window [1.358e+331, 256)"),
+    "weierstrass-gamma": (["weierstrass-trace", "--gamma", "2**1100"], "gamma = 1.358e+331"),
+    "measurability-window-count": (
+        ["measurability", "--rule", "constant:1", "--window-count", "2**1100"],
+        "too short for 1.358e+331 windows",
+    ),
+    # N past the float range: its first product factor N + 1 overflows alone
+    "hn-N": (["hn", "--N", "2**4000", "--m-max", "2"], "at N = 1.318e+1204, m up to 2"),
+}
+
+
+@pytest.mark.parametrize("argv, shown", LONG_INTEGER_REFUSALS.values(), ids=LONG_INTEGER_REFUSALS)
+def test_long_integer_refusals_exit_2_with_one_short_line(argv, shown, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path / "x.json")]) == 2
+    line = _stderr_line(capsys)
+    assert line.startswith("parameter error: ") and shown in line
+    assert len(line.encode()) < 200
 
 
 # NcTorus parameter errors that sit on an oversized ball: each parses before

@@ -452,6 +452,17 @@ class TestSphereKernel:
         with pytest.raises(AssertionError, match="a binomial was formed"):
             sphere_kernel_routes(t, 2000, [1, 94])
 
+    def test_derivative_bound_is_exact_for_any_n(self):
+        # (10^15 + 1)...(10^15 + 20) < 1.8e308 < (10^15 + 1)...(10^15 + 21); past
+        # 2^1024 the first factor overflows alone, where math.lgamma would raise
+        cf._check_derivative_products(10**15, 21)
+        cf._check_derivative_products(2**4000, 1)
+        for n, m in ((10**15, 22), (2**1100, 2), (2**4000, 2**4000)):
+            with pytest.raises(ParameterError, match=r"\(N\+m-1\)!/N! overflow float64"):
+                cf._check_derivative_products(n, m)
+        with pytest.raises(ParameterError, match="at N = 1000000000000000, m up to 22"):
+            sphere_kernel_derivative(0.5, 10**15, 22)
+
     @pytest.mark.parametrize("n, m", [(0, 20000), (3, 500), (39, 41), (40, 41)])
     def test_binomials_match_math_comb_either_side_of_n_plus_one_orders(self, n, m):
         # orders far above N + 1 and either side of it, each a running sum

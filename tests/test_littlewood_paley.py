@@ -14,8 +14,9 @@ from circletrace.fourier import (
 )
 from circletrace.littlewood_paley import (
     INF,
-    _norm_levels,
     _mode_values,
+    _norm_levels,
+    _roots,
     besov_norm,
     hat_weights,
     holder_norm_star,
@@ -368,3 +369,34 @@ def test_mode_values_symbols_equal_the_full_grid_gather():
             levels = gathered_lp_norms(a, 2, max(8 * band, 16))
             for p, q in ((INF, INF), (2, 2), (1, INF)):
                 assert besov_norm(a, 0.5, p, q, 2) == gathered_besov(levels, 0.5, p, q, 2)
+
+
+# The roots table is cached per grid size; each test clears the cache first,
+# so the counts below do not depend on which tests ran before.
+
+
+def test_norms_at_one_grid_size_build_one_roots_table():
+    _roots.cache_clear()
+    w = lacunary(0.5, 2, CoefficientRule.constant(1.0), 2**10)  # G = 2^13
+    holder_norm_star(w, 0.5, 2)
+    besov_norm(w, 0.5, 2, 2, 2)
+    info = _roots.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_a_norm_at_another_grid_size_leaves_one_table():
+    _roots.cache_clear()
+    holder_norm_star(lacunary(0.5, 2, CoefficientRule.constant(1.0), 2**10), 0.5, 2)
+    holder_norm_star(lacunary(0.7, 3, CoefficientRule.constant(1.0), 3**6), 0.7, 3)
+    info = _roots.cache_info()
+    assert (info.misses, info.currsize) == (2, 1)
+    assert len(_roots(8 * 3**6)) == 8 * 3**6 and _roots.cache_info().hits == 1
+
+
+def test_the_roots_table_is_read_only_and_keeps_its_bits():
+    _roots.cache_clear()
+    table = _roots(360)
+    with pytest.raises(ValueError):
+        table[0] = 0.0
+    fresh = np.exp(1j * (2.0 * np.pi * np.arange(360) / 360))
+    assert table.view(np.uint64).tolist() == fresh.view(np.uint64).tolist()
